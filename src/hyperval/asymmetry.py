@@ -12,16 +12,16 @@ spelled out rather than hidden in an O(·).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import NotHenselPrime, UnsupportedFactorization, UnsupportedInput
-from .hyperseq import HypergeomSeq, TermCursor
+from .hyperseq import HypergeomSeq, TermCursor, usable_prime
 from .numtheory import (
     INFINITY,
     Rational,
-    padic_valuation,
     sieve_primes,
     squarefree_part,
 )
@@ -31,8 +31,6 @@ from .polyq import discriminant_quadratic, factor
 
 def root_counts(seq: HypergeomSeq, p: int) -> tuple[int, int]:
     """(m_f, m_g): roots of f and g mod p, counted with multiplicity."""
-    from .hyperseq import usable_prime
-
     if not usable_prime(seq, p):
         raise NotHenselPrime(
             f"p = {p} cannot be trusted for this recurrence "
@@ -111,6 +109,32 @@ def _divides(p: int, value: Rational) -> bool:
     return value.numerator % p == 0 or value.denominator % p == 0
 
 
+def _exclusion(seq: HypergeomSeq, p: int,
+               coprime_with: Sequence[Rational]) -> Optional[str]:
+    """Why p may not carry a certificate, or None.  Never prints the
+    value p divides: targets can run to thousands of digits."""
+    if seq.u0 != 0 and _divides(p, seq.u0):
+        return f"p = {p} divides u0"
+    for value in coprime_with:
+        if value != 0 and _divides(p, value):
+            return f"p = {p} divides a required-coprime value"
+    return None
+
+
+def _certificate(seq: HypergeomSeq, p: int, m_f: int,
+                 m_g: int) -> AsymmetryCertificate:
+    """The certificate at a prime that passed the exclusion test."""
+    return AsymmetryCertificate(
+        p=p,
+        m_f=m_f,
+        m_g=m_g,
+        slope=Fraction(m_g - m_f, p - 1),
+        A=Fraction(abs(m_g - m_f), p - 1),
+        B=_poly_value_bound(seq),
+        u0_valuation=0,  # p is coprime to u0 (u0 = 0 also records 0)
+    )
+
+
 def make_certificate(seq: HypergeomSeq, p: int,
                      coprime_with: Sequence[Rational] = ()) -> AsymmetryCertificate:
     """Build the certificate at a specific prime, or fail loudly.
@@ -119,24 +143,43 @@ def make_certificate(seq: HypergeomSeq, p: int,
     the root counts are equal or the prime divides u₀ (or one of the
     extra rationals to stay coprime with).
     """
-    if seq.u0 != 0 and _divides(p, seq.u0):
-        raise ValueError(f"p = {p} divides u0 = {seq.u0}")
-    for value in coprime_with:
-        if value != 0 and _divides(p, value):
-            raise ValueError(f"p = {p} divides required-coprime value {value}")
+    reason = _exclusion(seq, p, coprime_with)
+    if reason is not None:
+        raise ValueError(reason)
     m_f, m_g = root_counts(seq, p)
     if m_f == m_g:
         raise ValueError(f"sequence is symmetric at p = {p} ({m_f} roots each)")
-    v0 = 0 if seq.u0 == 0 else int(padic_valuation(seq.u0, p))
-    return AsymmetryCertificate(
-        p=p,
-        m_f=m_f,
-        m_g=m_g,
-        slope=Fraction(m_g - m_f, p - 1),
-        A=Fraction(abs(m_g - m_f), p - 1),
-        B=_poly_value_bound(seq),
-        u0_valuation=v0,
-    )
+    return _certificate(seq, p, m_f, m_g)
+
+
+Outcome = Union[str, AsymmetryCertificate]  # per prime, from scan_primes
+
+
+def scan_primes(
+    seq: HypergeomSeq,
+    p_min: int,
+    p_max: int,
+    coprime_with: Sequence[Rational] = (),
+) -> Iterator[tuple[int, Outcome]]:
+    """(p, outcome) for every prime in [p_min, p_max], in increasing order.
+
+    The outcome is "excluded" (p divides u₀ or a value in coprime_with),
+    "unusable" (p fails the trust gate), "symmetric" (equal root
+    counts), or the certificate at p.  This is the one prime-scan loop;
+    it raises nothing per prime.
+    """
+    for p in sieve_primes(p_max):
+        if p < p_min:
+            continue
+        if _exclusion(seq, p, coprime_with) is not None:
+            yield p, "excluded"
+        elif not usable_prime(seq, p):
+            yield p, "unusable"
+        else:
+            m_f = count_roots_mod_p(seq.f, p)
+            m_g = count_roots_mod_p(seq.g, p)
+            yield p, ("symmetric" if m_f == m_g
+                      else _certificate(seq, p, m_f, m_g))
 
 
 def iter_asymmetric_certificates(
@@ -146,13 +189,8 @@ def iter_asymmetric_certificates(
     coprime_with: Sequence[Rational] = (),
 ) -> Iterator[AsymmetryCertificate]:
     """All certificates in the range, in increasing prime order."""
-    for p in sieve_primes(p_max):
-        if p < p_min:
-            continue
-        try:
-            yield make_certificate(seq, p, coprime_with)
-        except (NotHenselPrime, ValueError):
-            continue
+    return (outcome for _, outcome in scan_primes(seq, p_min, p_max, coprime_with)
+            if not isinstance(outcome, str))
 
 
 def find_asymmetric_prime(
@@ -160,33 +198,24 @@ def find_asymmetric_prime(
     p_min: int = 2,
     p_max: int = 10_000,
     coprime_with: Sequence[Rational] = (),
+    outcomes: Optional[Iterable[tuple[int, Outcome]]] = None,
 ) -> ScanResult:
-    """Smallest trustworthy prime with unequal root counts, with stats."""
+    """Smallest trustworthy prime with unequal root counts, with stats
+    (outcomes replays a scan_primes walk of the range already made)."""
     if p_min < 2:
         raise ValueError("p_min must be >= 2")
-    tested = symmetric = unusable = excluded = 0
-    for p in sieve_primes(p_max):
-        if p < p_min:
-            continue
-        if (seq.u0 != 0 and _divides(p, seq.u0)) or any(
-            value != 0 and _divides(p, value) for value in coprime_with
-        ):
-            excluded += 1
-            continue
-        try:
-            m_f, m_g = root_counts(seq, p)
-        except NotHenselPrime:
-            unusable += 1
-            continue
-        tested += 1
-        if m_f == m_g:
-            symmetric += 1
-            continue
-        cert = make_certificate(seq, p, coprime_with)
-        return ScanResult(cert, p_min, p_max, tested, symmetric,
-                          unusable, excluded)
-    return ScanResult(None, p_min, p_max, tested, symmetric,
-                      unusable, excluded)
+    if outcomes is None:
+        outcomes = scan_primes(seq, p_min, p_max, coprime_with)
+    counts: Counter[str] = Counter()
+    cert = None
+    for _, outcome in outcomes:
+        if not isinstance(outcome, str):
+            cert = outcome
+            break
+        counts[outcome] += 1
+    sym = counts["symmetric"]
+    return ScanResult(cert, p_min, p_max, sym + (cert is not None), sym,
+                      counts["unusable"], counts["excluded"])
 
 
 # -- the certified envelope --------------------------------------------

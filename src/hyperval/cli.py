@@ -10,7 +10,6 @@ stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -193,15 +192,6 @@ def _emit(fmt: str, lines: Iterable[str]) -> None:
         print(head)
     for line in lines:
         print(line)
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    try:
-        return max(1, int(os.environ.get("HYPERVAL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _sequence_from_args(args):
@@ -442,7 +432,6 @@ def _cmd_equidist(args) -> int:
         s=parse_rational(args.s),
         p_limit=args.plimit,
         bin_count=args.bins,
-        threads=_resolve_threads(args),
     )
     if args.format == "csv":
         _emit("csv", list(report.csv_rows()))
@@ -487,8 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("human", "csv", "structured-text"),
                         default="human")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: HYPERVAL_THREADS or 1)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     seqflags = argparse.ArgumentParser(add_help=False)

@@ -25,6 +25,7 @@ from .numtheory import (
     INFINITY,
     Rational,
     Valuation,
+    int_valuation,
     is_prime,
     padic_valuation,
     weil_height_exact,
@@ -34,6 +35,7 @@ from .polyq import (
     RatPoly,
     RationalFunction,
     factor,
+    int_eval,
     poly_gcd,
     positive_integer_roots,
     radical,
@@ -141,23 +143,6 @@ def usable_prime(seq: HypergeomSeq, p: int) -> bool:
     return is_hensel_prime(seq.radical_fg, p)
 
 
-def _int_horner(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for a in reversed(coeffs):
-        acc = acc * x + a
-    return acc
-
-
-def _int_valuation(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of 0 is infinite")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 class TermCursor:
     """Streams u₀, u₁, … with exact incremental reduction.
 
@@ -186,10 +171,10 @@ class TermCursor:
             if self.num == 0:
                 self.valuations[p] = INFINITY
             else:
-                self.valuations[p] = (_int_valuation(self.num, p)
-                                      - _int_valuation(self.den, p))
-            self._dps[p] = (_int_valuation(self._DF, p)
-                            - _int_valuation(self._DG, p))
+                self.valuations[p] = (int_valuation(self.num, p)
+                                      - int_valuation(self.den, p))
+            self._dps[p] = (int_valuation(self._DF, p)
+                            - int_valuation(self._DG, p))
 
     @property
     def value(self) -> Fraction:
@@ -209,14 +194,14 @@ class TermCursor:
     def advance(self) -> int:
         """Step to the next index; returns the new n."""
         m = self.n + 1
-        gm = _int_horner(self._G, m)
-        fm = _int_horner(self._F, m)
+        gm = int_eval(self._G, m)
+        fm = int_eval(self._F, m)
         for p in self.valuations:
             if self.valuations[p] is INFINITY or gm == 0:
                 self.valuations[p] = INFINITY
             else:
-                self.valuations[p] += (_int_valuation(gm, p)
-                                       - _int_valuation(fm, p)
+                self.valuations[p] += (int_valuation(gm, p)
+                                       - int_valuation(fm, p)
                                        + self._dps[p])
         if self.track_value and self.num != 0:
             a = gm * self._DF
@@ -266,13 +251,13 @@ def term_valuation(seq: HypergeomSeq, n: int, p: int) -> Valuation:
     if seq.u0 == 0:
         return INFINITY
     F, DF, G, DG = seq.integer_forms()
-    dp = _int_valuation(DF, p) - _int_valuation(DG, p)
+    dp = int_valuation(DF, p) - int_valuation(DG, p)
     v = padic_valuation(seq.u0, p)
     for m in range(1, n + 1):
-        gm = _int_horner(G, m)
+        gm = int_eval(G, m)
         if gm == 0:
             return INFINITY
-        v += _int_valuation(gm, p) - _int_valuation(_int_horner(F, m), p) + dp
+        v += int_valuation(gm, p) - int_valuation(int_eval(F, m), p) + dp
     return v
 
 

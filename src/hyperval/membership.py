@@ -25,12 +25,13 @@ from .asymmetry import (
     AsymmetryCertificate,
     certified_envelope,
     find_asymmetric_prime,
-    iter_asymmetric_certificates,
     make_certificate,
+    scan_primes,
 )
 from .errors import HypervalError, NotHenselPrime, UnsupportedInput
 from .hyperseq import HypergeomSeq, TermCursor, term
-from .numtheory import Rational, padic_valuation
+from .numtheory import Rational, int_valuation, padic_valuation
+from .polyq import int_eval
 
 # filter moduli: two Mersenne primes; a congruence that holds for equal
 # integers holds at every modulus, so the filter can never lose a witness
@@ -107,25 +108,26 @@ def _best_certificate(
     Scans primes in increasing order but keeps the certificate with the
     largest |slope| (ties to the smaller prime): a steep slope shrinks
     n₀.  Stops early once no later prime can beat the current best,
-    since |m_g − m_f| ≤ max(deg f, deg g) caps future slopes.
+    since |m_g − m_f| ≤ max(deg f, deg g) caps future slopes.  An empty
+    scan reports its counts from the same pass.
     """
     if config.forced_prime is not None:
         return make_certificate(seq, config.forced_prime, coprime_with=(t,))
     maxdeg = seq.max_degree
     best = None
-    for cert in iter_asymmetric_certificates(
-        seq, 2, config.prime_cap, coprime_with=(t,)
-    ):
-        if best is None or cert.A > best.A:
-            best = cert
-        if best.A >= Fraction(maxdeg, cert.p):
+    passed = []  # replayed below if no certificate turns up
+    for p, outcome in scan_primes(seq, 2, config.prime_cap, coprime_with=(t,)):
+        if isinstance(outcome, str):
+            passed.append((p, outcome))
+            continue
+        if best is None or outcome.A > best.A:
+            best = outcome
+        if best.A >= Fraction(maxdeg, outcome.p):
             break
     if best is None:
-        scan = find_asymmetric_prime(seq, 2, config.prime_cap,
-                                     coprime_with=(t,))
-        raise UnsupportedInput(
-            "no usable asymmetric prime below the cap; " + scan.summary()
-        )
+        scan = find_asymmetric_prime(seq, 2, config.prime_cap, (t,), passed)
+        raise UnsupportedInput("no usable asymmetric prime below the cap; "
+                               + scan.summary())
     return best
 
 
@@ -225,8 +227,8 @@ def _scan_prefix(seq: HypergeomSeq, t: Fraction, p: int, vt: int,
     tn, td = t.numerator, t.denominator
     lhs1, rhs1 = (u0n * td) % _M1, (tn * u0d) % _M1
     lhs2, rhs2 = (u0n * td) % _M2, (tn * u0d) % _M2
-    v = _int_val(u0n, p) - _int_val(u0d, p)
-    dp = _int_val(DF, p) - _int_val(DG, p)
+    v = int_valuation(u0n, p) - int_valuation(u0d, p)
+    dp = int_valuation(DF, p) - int_valuation(DG, p)
     n = 0
     while True:
         if v == vt and lhs1 == rhs1 and lhs2 == rhs2:
@@ -235,27 +237,12 @@ def _scan_prefix(seq: HypergeomSeq, t: Fraction, p: int, vt: int,
         n += 1
         if n >= n0:
             return None
-        gm = _horner(G, n)
-        fm = _horner(F, n)
-        v += _int_val(gm, p) - _int_val(fm, p) + dp
+        gm = int_eval(G, n)
+        fm = int_eval(F, n)
+        v += int_valuation(gm, p) - int_valuation(fm, p) + dp
         a, b = gm * DF, fm * DG
         lhs1, rhs1 = (lhs1 * a) % _M1, (rhs1 * b) % _M1
         lhs2, rhs2 = (lhs2 * a) % _M2, (rhs2 * b) % _M2
-
-
-def _horner(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _int_val(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def decide_batch(

@@ -1,7 +1,7 @@
 """Integer and rational primitives.
 
 Primality testing, Legendre symbols, modular square roots, square-free
-parts, p-adic valuations, Weil heights of rationals, and prime streams in
+parts, p-adic valuations, Weil heights of rationals, and prime lists in
 arithmetic progressions.  Everything here is exact: rationals are
 ``fractions.Fraction`` (already reduced, positive denominator), and the
 p-adic valuation of zero is the distinct value :data:`INFINITY` rather
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import BadPrime, NonResidue
 
@@ -252,10 +252,13 @@ def padic_valuation(r: Rational | int, p: int) -> Valuation:
     r = Fraction(r)
     if r == 0:
         return INFINITY
-    return _int_valuation(r.numerator, p) - _int_valuation(r.denominator, p)
+    return int_valuation(r.numerator, p) - int_valuation(r.denominator, p)
 
 
-def _int_valuation(n: int, p: int) -> int:
+def int_valuation(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n."""
+    if n == 0:
+        raise ValueError("valuation of 0 is infinite")
     v = 0
     while n % p == 0:
         n //= p
@@ -303,49 +306,9 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-class PrimeIterator:
-    """Yields primes congruent to a (mod q), in increasing order.
-
-    When gcd(a, q) > 1 the progression contains at most one prime (a shared
-    factor divides every term), and the iterator stops after considering it.
-    """
-
-    def __init__(self, a: int = 0, q: int = 1, start: int = 2):
-        if q < 1:
-            raise ValueError("modulus must be positive")
-        self.residue = a % q
-        self.modulus = q
-        self.current = start
-
-    def __iter__(self) -> "PrimeIterator":
-        return self
-
-    def __next__(self) -> int:
-        g = math.gcd(self.residue, self.modulus)
-        if self.modulus > 1 and g > 1:
-            # Only the shared factor itself can be prime in this progression.
-            candidate = g if self.residue == g else (self.modulus if self.residue == 0 else None)
-            if candidate is not None and candidate >= self.current and is_prime(candidate):
-                self.current = candidate + 1
-                return candidate
-            raise StopIteration
-        n = max(self.current, 2)
-        # Align n with the progression.
-        if self.modulus > 1:
-            delta = (self.residue - n) % self.modulus
-            n += delta
-        while True:
-            if is_prime(n):
-                self.current = n + 1
-                return n
-            n += self.modulus if self.modulus > 1 else 1
-
-
 def primes_in_progression(a: int, q: int, limit: int) -> list[int]:
     """Primes p <= limit with p = a (mod q)."""
-    out = []
-    for p in PrimeIterator(a, q):
-        if p > limit:
-            break
-        out.append(p)
-    return out
+    if q < 1:
+        raise ValueError("modulus must be positive")
+    a %= q
+    return [p for p in sieve_primes(limit) if p % q == a]

@@ -188,9 +188,9 @@ def hensel_lift(f: RatPoly, p: int, r0: int, k: int) -> PadicRoot:
     F = _to_pintegral_int_poly(f, p)
     Fd = [i * c for i, c in enumerate(F)][1:]
     r0 %= p
-    if _int_eval_mod(F, r0, p) != 0:
+    if _fp.eval_at(F, r0, p) != 0:
         raise ValueError(f"{r0} is not a root mod {p}")
-    if _int_eval_mod(Fd, r0, p) == 0:
+    if _fp.eval_at(Fd, r0, p) == 0:
         raise NotSimpleRoot(
             f"derivative vanishes at {r0} mod {p}; root is not simple"
         )
@@ -199,24 +199,17 @@ def hensel_lift(f: RatPoly, p: int, r0: int, k: int) -> PadicRoot:
     while prec < k:
         prec = min(2 * prec, k)
         mod = p**prec
-        fr = _int_eval_mod(F, r, mod)
-        fdr = _int_eval_mod(Fd, r, mod)
+        fr = _fp.eval_at(F, r, mod)
+        fdr = _fp.eval_at(Fd, r, mod)
         r = (r - fr * pow(fdr, -1, mod)) % mod
     mod = p**k
-    assert _int_eval_mod(F, r, mod) == 0
+    assert _fp.eval_at(F, r, mod) == 0
     digits = []
     v = r
     for _ in range(k):
         v, d = divmod(v, p)
         digits.append(d)
     return PadicRoot(p, k, r, tuple(digits), f)
-
-
-def _int_eval_mod(c: list[int], x: int, mod: int) -> int:
-    acc = 0
-    for a in reversed(c):
-        acc = (acc * x + a) % mod
-    return acc
 
 
 def zero_run_length(root: PadicRoot, s: int,

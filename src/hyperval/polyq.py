@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import _fp
-from .numtheory import Rational, factorize, is_prime
+from .numtheory import Rational, factorize, sieve_primes
 
 _MAX_DIVISOR_CANDIDATES = 200_000
 
@@ -395,7 +395,8 @@ def _factor_squarefree(h: RatPoly) -> list[tuple[RatPoly, bool]]:
     return out
 
 
-def _int_eval(c: list[int], x: int) -> int:
+def int_eval(c: Sequence[int], x: int) -> int:
+    """Exact Horner evaluation of the integer polynomial c at x."""
     acc = 0
     for a in reversed(c):
         acc = acc * x + a
@@ -436,8 +437,8 @@ def _factor_monic_int(H: list[int], out: list[tuple[list[int], bool]]) -> None:
     bound = 1 + max(abs(c) for c in H)
     divs = _divisors_upto(const, bound)
     if divs is not None:
-        h1 = _int_eval(H, 1)
-        hm1 = _int_eval(H, -1)
+        h1 = int_eval(H, 1)
+        hm1 = int_eval(H, -1)
         for d in sorted(divs):
             for r in (d, -d):
                 # cheap filters: (r - 1) | H(1) and (r + 1) | H(-1)
@@ -445,7 +446,7 @@ def _factor_monic_int(H: list[int], out: list[tuple[list[int], bool]]) -> None:
                     continue
                 if r != -1 and hm1 % (r + 1) != 0:
                     continue
-                while _int_eval(H, r) == 0:
+                while int_eval(H, r) == 0:
                     out.append(([-r, 1], True))
                     H, rem = _int_divmod(H, [-r, 1])
                     assert not rem
@@ -499,7 +500,7 @@ def _find_quadratic_factor(H: list[int]) -> Optional[list[int]]:
     quadratic factors of H mod p, and products of pairs of its linear
     factors, lifted to enough p-adic precision to pin integer coefficients.
     """
-    for p in _candidate_primes():
+    for p in sieve_primes(1000)[1:]:  # odd primes
         Hp = _fp.from_int_coeffs(H, p)
         if _fp.deg(_fp.gcd(Hp, _fp.derivative(Hp, p), p)) != 0:
             continue  # not square-free mod p; finitely many such primes
@@ -507,12 +508,6 @@ def _find_quadratic_factor(H: list[int]) -> Optional[list[int]]:
         # H mod p, so this one prime settles the question either way.
         return _search_at_prime(H, Hp, p)
     return None
-
-
-def _candidate_primes(limit: int = 1000):
-    for p in range(3, limit, 2):
-        if is_prime(p):
-            yield p
 
 
 def _search_at_prime(H: list[int], Hp: list[int], p: int) -> Optional[list[int]]:
@@ -567,15 +562,15 @@ def _lift_and_test(H: list[int], u: list[int], p: int, bound: int) -> Optional[l
     if _fp.deg(g) != 0:
         return None  # not coprime mod p; cannot lift this pair cleanly
     # s*u + t*v = 1 (mod p)
-    K = 1
     pk = p
     target = 2 * bound + 1
     U = [c % p for c in u]
     V = [c % p for c in v]
     while pk < target:
         newmod = pk * p
-        # defect E = (H - U*V) / p^K (mod p)
-        prod = _poly_mul_int(U, V)
+        # defect E = (H - U*V) / pk (mod p); H = U*V (mod pk), so the
+        # product is only needed mod pk*p
+        prod = _fp.mul(U, V, newmod)
         E = [0] * max(len(H), len(prod))
         for i, c in enumerate(H):
             E[i] = c
@@ -591,7 +586,6 @@ def _lift_and_test(H: list[int], u: list[int], p: int, bound: int) -> Optional[l
         U = _add_shifted(U, du, pk, newmod)
         V = _add_shifted(V, dv, pk, newmod)
         pk = newmod
-        K += 1
     # symmetric representatives
     cand = [c if c <= pk // 2 else c - pk for c in U]
     if len(cand) != 3 or cand[2] != 1:
@@ -602,17 +596,6 @@ def _lift_and_test(H: list[int], u: list[int], p: int, bound: int) -> Optional[l
     if rem:
         return None
     return cand
-
-
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _add_shifted(base: list[int], delta: list[int], pk: int, newmod: int) -> list[int]:

@@ -12,7 +12,6 @@ primes in progressions to measure equidistribution empirically.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -24,6 +23,7 @@ from .numtheory import (
     factorize,
     legendre,
     mod_rep,
+    primes_in_progression,
     sieve_primes,
     sqrt_mod,
     squarefree_part,
@@ -298,7 +298,6 @@ def equidistribution_sample(
     s: Union[Rational, int] = 1,
     p_limit: int = 100_000,
     bin_count: int = 10,
-    threads: int = 1,
 ) -> EquidistributionReport:
     """Histogram of rep(r ± s√delta)/p over primes p ≡ a (mod q).
 
@@ -313,19 +312,8 @@ def equidistribution_sample(
         raise ValueError("bin_count must be >= 2")
     if q < 1:
         raise ValueError("q must be >= 1")
-    primes = [p for p in sieve_primes(p_limit) if p % q == a % q]
-    if threads > 1 and len(primes) >= 64:
-        chunk = (len(primes) + threads - 1) // threads
-        parts = [primes[i:i + chunk] for i in range(0, len(primes), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda part: _collect_samples(part, delta, r, s),
-                         parts)
-            )
-        samples = [pair for part, _ in results for pair in part]
-        skipped = sum(sk for _, sk in results)
-    else:
-        samples, skipped = _collect_samples(primes, delta, r, s)
+    primes = primes_in_progression(a, q, p_limit)
+    samples, skipped = _collect_samples(primes, delta, r, s)
     if not samples:
         raise EmptySampleSet(
             f"no primes <= {p_limit} with p = {a} (mod {q}) split delta = {delta}"
@@ -371,8 +359,7 @@ def window_count(
     if q < 1:
         raise ValueError("q must be >= 1")
     hi = int(N * (1 + window_delta))
-    primes = [p for p in sieve_primes(hi)
-              if N <= p < hi and p % q == a % q]
+    primes = [p for p in primes_in_progression(a, q, hi - 1) if p >= N]
     samples, _ = _collect_samples(primes, delta, r, s)
     hits = {p for rep, p in samples if al <= Fraction(rep, p) < be}
     return len(hits)

@@ -1,5 +1,7 @@
 """Tests for asymmetric primes, certificates, and the valuation envelope."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,9 +18,15 @@ from hyperval.asymmetry import (
     iter_asymmetric_certificates,
     make_certificate,
     root_counts,
+    scan_primes,
     slope_fit,
 )
-from hyperval.errors import NotHenselPrime, UnsupportedFactorization, UnsupportedInput
+from hyperval.errors import (
+    InvalidF,
+    NotHenselPrime,
+    UnsupportedFactorization,
+    UnsupportedInput,
+)
 from hyperval.hyperseq import TermCursor, make_sequence
 from hyperval.numtheory import legendre, sieve_primes
 from hyperval.polyq import RatPoly
@@ -100,6 +108,16 @@ class TestMakeCertificate:
         with pytest.raises(NotHenselPrime):
             make_certificate(sq_pair, 2)
 
+    def test_messages_never_print_the_value(self):
+        # 3^10000 has 4772 digits, past Python's int-to-str limit
+        big = Fraction(3**10000)
+        seq = make_sequence(ONE, X, big)
+        with pytest.raises(ValueError, match="^p = 3 divides u0$"):
+            make_certificate(seq, 3)
+        with pytest.raises(ValueError,
+                           match="^p = 3 divides a required-coprime value$"):
+            make_certificate(make_sequence(ONE, X, 1), 3, coprime_with=(big,))
+
 
 class TestScans:
     def test_square_pair_scan(self, sq_pair):
@@ -143,6 +161,89 @@ class TestScans:
         assert ps == [7, 11, 13, 17, 31, 37, 41, 59]
         assert [c.p for c in iter_asymmetric_certificates(sq_pair, 10, 60)] \
             == [11, 13, 17, 31, 37, 41, 59]
+
+
+def _reference_outcome(seq, p, coprime_with):
+    """The outcome at p as make_certificate and its exceptions define it."""
+    divides = any(v != 0 and (v.numerator % p == 0 or v.denominator % p == 0)
+                  for v in (seq.u0, *coprime_with))
+    try:
+        cert = make_certificate(seq, p, coprime_with)
+    except NotHenselPrime:
+        assert not divides
+        return "unusable"
+    except ValueError:
+        if divides:
+            return "excluded"
+        m_f, m_g = root_counts(seq, p)
+        assert m_f == m_g
+        return "symmetric"
+    assert not divides
+    return cert
+
+
+def _random_sequences(seed, count):
+    rng = random.Random(seed)
+
+    def poly():
+        return RatPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
+                       + [rng.choice((1, 1, 2, 3, Fraction(1, 2)))])
+
+    out = []
+    while len(out) < count:
+        u0 = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+        try:
+            out.append(make_sequence(poly(), poly(), u0))
+        except (InvalidF, ValueError):
+            continue
+    return out
+
+
+_FIXTURES = ("factorial", "telescoping", "sq_pair", "class_c_seq",
+             "geometric", "twin_field", "catalan", "eventually_zero",
+             "fractional_coeffs", "double_root", "sym_pair", "mixed_degree")
+_COPRIME = ((), (Fraction(30),), (Fraction(7, 11), Fraction(0)))
+
+
+class TestScanOutcomes:
+    """scan_primes against the per-prime definition it replaced."""
+
+    def _check(self, seq, p_min, p_max, coprime_with):
+        got = list(scan_primes(seq, p_min, p_max, coprime_with))
+        want = [(p, _reference_outcome(seq, p, coprime_with))
+                for p in sieve_primes(p_max) if p >= p_min]
+        assert got == want
+        # find_asymmetric_prime stops at the first certificate and counts
+        # every outcome up to it
+        tally = Counter()
+        first = None
+        for _, outcome in want:
+            if isinstance(outcome, str):
+                tally[outcome] += 1
+            else:
+                first = outcome
+                break
+        scan = find_asymmetric_prime(seq, p_min, p_max, coprime_with)
+        assert scan.certificate == first
+        # replaying the walk gives the same result without a second scan
+        assert find_asymmetric_prime(seq, p_min, p_max, coprime_with,
+                                     outcomes=got) == scan
+        assert (scan.tested, scan.symmetric, scan.unusable, scan.excluded) \
+            == (tally["symmetric"] + (first is not None), tally["symmetric"],
+                tally["unusable"], tally["excluded"])
+
+    @pytest.mark.parametrize("name", _FIXTURES)
+    def test_fixtures(self, name, request):
+        seq = request.getfixturevalue(name)
+        for coprime_with in _COPRIME:
+            self._check(seq, 2, 160, coprime_with)
+        self._check(seq, 11, 160, ())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sequences(self, seed):
+        for seq in _random_sequences(seed, 6):
+            for coprime_with in _COPRIME:
+                self._check(seq, 2, 120, coprime_with)
 
 
 class TestEnvelope:

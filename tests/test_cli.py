@@ -274,15 +274,11 @@ class TestEquidist:
                 "--plimit", "3000")
         assert run(*args) == run(*args)
 
-    def test_threads_flag_and_env_agree(self, monkeypatch):
-        base = run("--format", "csv", "equidist", "--delta", "2",
-                   "--plimit", "3000")
-        flagged = run("--format", "csv", "--threads", "2", "equidist",
-                      "--delta", "2", "--plimit", "3000")
-        monkeypatch.setenv("HYPERVAL_THREADS", "2")
-        env = run("--format", "csv", "equidist", "--delta", "2",
-                  "--plimit", "3000")
-        assert base == flagged == env
+    def test_threads_flag_is_a_usage_error(self):
+        code, out, _ = run("--threads", "2", "equidist", "--delta", "2",
+                           "--plimit", "3000")
+        assert code == 2
+        assert out == ""
 
     def test_empty_sample_set_is_a_domain_error(self):
         code, _, err = run("equidist", "--delta", "2", "--plimit", "4")

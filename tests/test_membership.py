@@ -1,12 +1,14 @@
 """Tests for the membership decision procedure."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperval.asymmetry import iter_asymmetric_certificates
+from hyperval import asymmetry
+from hyperval.asymmetry import find_asymmetric_prime, iter_asymmetric_certificates
 from hyperval.hyperseq import make_sequence, term
 from hyperval.membership import MembershipConfig, decide, decide_batch
 from hyperval.polyq import RatPoly
@@ -113,6 +115,34 @@ class TestUnsupported:
         t = term(sq_pair, 7)  # denominator picks up a factor of 7
         v = decide(sq_pair, t, MembershipConfig(forced_prime=7))
         assert v.outcome == "unsupported"
+
+    def test_forced_prime_dividing_a_huge_target(self, factorial):
+        # 1800! has over 5000 digits, past Python's int-to-str limit: the
+        # reason names the prime and the role of the value, not its digits
+        t = math.factorial(1800)
+        v = decide(factorial, t, MembershipConfig(forced_prime=7))
+        assert v.outcome == "unsupported"
+        assert v.reason == "p = 7 divides a required-coprime value"
+
+    def test_empty_scan_runs_once(self, sym_pair, monkeypatch):
+        calls = []
+        sieve = asymmetry.sieve_primes
+
+        def counted(limit):
+            calls.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(asymmetry, "sieve_primes", counted)
+        v = decide(sym_pair, 5, SMALL)
+        assert v.outcome == "unsupported"
+        assert calls == [SMALL.prime_cap]
+
+    def test_empty_scan_reason(self, sym_pair):
+        v = decide(sym_pair, 5, SMALL)
+        scan = find_asymmetric_prime(sym_pair, 2, SMALL.prime_cap,
+                                     coprime_with=(Fraction(5),))
+        assert v.reason == ("no usable asymmetric prime below the cap; "
+                            + scan.summary())
 
     def test_term_cap_exhaustion(self, factorial):
         v = decide(factorial, 100, MembershipConfig(term_cap=3))

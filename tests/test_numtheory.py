@@ -9,6 +9,7 @@ from hyperval.errors import BadPrime, NonResidue
 from hyperval.numtheory import (
     INFINITY,
     factorize,
+    int_valuation,
     is_prime,
     legendre,
     mod_rep,
@@ -156,6 +157,12 @@ class TestPadicValuation:
         for a, b, p in [(12, 18, 2), (Fraction(5, 8), 16, 2), (9, 27, 3)]:
             assert (padic_valuation(Fraction(a) * b, p)
                     == padic_valuation(a, p) + padic_valuation(b, p))
+
+    def test_int_valuation_of_zero_raises(self):
+        # the valuation of 0 is infinite; the integer helper refuses it
+        # instead of dividing 0 by p forever
+        with pytest.raises(ValueError, match="infinite"):
+            int_valuation(0, 7)
 
 
 class TestModRep:

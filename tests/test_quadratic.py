@@ -240,14 +240,10 @@ class TestEquidistributionSample:
         assert abs(rep.star_discrepancy - 0.011333) < 1e-4
         assert sum(freq for _, _, freq in rep.bins) == pytest.approx(1.0)
 
-    def test_deterministic_and_thread_independent(self):
+    def test_deterministic(self):
         one = equidistribution_sample(2, p_limit=10_000)
         two = equidistribution_sample(2, p_limit=10_000)
         assert one == two
-        threaded = equidistribution_sample(2, p_limit=10_000, threads=2)
-        assert threaded.samples == one.samples
-        assert threaded.bins == one.bins
-        assert threaded.star_discrepancy == one.star_discrepancy
 
     def test_bins_mirror(self):
         # rep and p - rep enter together, so the histogram is symmetric.
