@@ -15,10 +15,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import NotHenselPrime, UnsupportedFactorization, UnsupportedInput
-from .hyperseq import HypergeomSeq, TermCursor, usable_prime
+from .hyperseq import HypergeomSeq, usable_prime, valuations
 from .numtheory import (
     INFINITY,
     Rational,
@@ -182,17 +183,6 @@ def scan_primes(
                       else _certificate(seq, p, m_f, m_g))
 
 
-def iter_asymmetric_certificates(
-    seq: HypergeomSeq,
-    p_min: int,
-    p_max: int,
-    coprime_with: Sequence[Rational] = (),
-) -> Iterator[AsymmetryCertificate]:
-    """All certificates in the range, in increasing prime order."""
-    return (outcome for _, outcome in scan_primes(seq, p_min, p_max, coprime_with)
-            if not isinstance(outcome, str))
-
-
 def find_asymmetric_prime(
     seq: HypergeomSeq,
     p_min: int = 2,
@@ -335,24 +325,16 @@ class SlopeFit:
 def slope_fit(seq: HypergeomSeq, p: int, n_max: int) -> SlopeFit:
     """Fit ν_p(uₙ) ≈ slope·n over the top half of [0, n_max].
 
-    One valuation-only cursor pass; the least squares is exact integer
-    arithmetic.  The deviation statistic normalizes by log n, matching
-    the expected O(log n) wobble around the line.
+    One pass of the valuations() stream; the least squares is exact
+    integer arithmetic.  The deviation statistic normalizes by log n,
+    matching the expected O(log n) wobble around the line.
     """
     lo, hi = n_max // 2, n_max
     if lo < 2:
         raise ValueError("n_max too small for a slope window")
-    cur = TermCursor(seq, primes=(p,), track_value=False)
-    samples = []
-    for n in range(1, hi + 1):
-        cur.advance()
-        if n >= lo:
-            v = cur.valuations[p]
-            if v is INFINITY:
-                raise ValueError(
-                    "sequence is eventually zero; valuations are infinite"
-                )
-            samples.append((n, v))
+    samples = list(enumerate(islice(valuations(seq, p), lo, hi + 1), lo))
+    if any(v is INFINITY for _, v in samples):
+        raise ValueError("sequence is eventually zero; valuations are infinite")
     k = len(samples)
     sx = sum(n for n, _ in samples)
     sy = sum(v for _, v in samples)

@@ -7,10 +7,12 @@ f has no positive integer roots; a g with positive integer roots (or
 u₀ = 0) is allowed but flagged, since the sequence is then eventually
 zero.
 
-The module streams exact terms and p-adic valuations incrementally,
-rewrites a recurrence into a regular one (no two roots of f·g differing
-by a nonzero integer) times an explicit rational-function correction,
-and profiles Weil-height growth.
+Every walk along the sequence steps with one integer form, step_polys:
+uₘ = uₘ₋₁·A(m)/B(m).  TermCursor streams the exact values and
+valuations() the p-adic valuations, without building the terms.  The
+module also rewrites a recurrence into a regular one (no two roots of
+f·g differing by a nonzero integer) times an explicit rational-function
+correction, and profiles Weil-height growth.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from itertools import islice
+from typing import Iterator, Optional, Union
 
 from .errors import BadPrime, InvalidF, UnsupportedFactorization, UnsupportedInput
 from .numtheory import (
@@ -28,7 +31,6 @@ from .numtheory import (
     int_valuation,
     is_prime,
     padic_valuation,
-    weil_height_exact,
 )
 from .padic import is_hensel_prime
 from .polyq import (
@@ -143,72 +145,48 @@ def usable_prime(seq: HypergeomSeq, p: int) -> bool:
     return is_hensel_prime(seq.radical_fg, p)
 
 
-class TermCursor:
-    """Streams u₀, u₁, … with exact incremental reduction.
+def step_polys(seq: HypergeomSeq) -> tuple[list[int], list[int]]:
+    """(A, B), integer coefficient lists with uₘ = uₘ₋₁·A(m)/B(m).
 
-    Each step multiplies by g(m)/f(m), removing common factors against
-    the running numerator and denominator as it goes, so the stored pair
-    is always fully reduced and never transits through unreduced
-    products.  Optionally tracks p-adic valuations per listed prime;
-    with track_value=False only the valuations advance (used for long
-    valuation-only scans where the exact value would be enormous).
+    A = DF·G and B = DG·F for f = F/DF, g = G/DG.  B(m) ≠ 0 for m ≥ 1,
+    A(m) = 0 exactly at a positive integer root of g, and the step
+    changes ν_p by ν_p(A(m)) − ν_p(B(m)).
+    """
+    F, DF, G, DG = seq.integer_forms()
+    return [DF * c for c in G], [DG * c for c in F]
+
+
+class TermCursor:
+    """Streams the exact values u₀, u₁, … with incremental reduction.
+
+    Each step multiplies by A(m)/B(m) from step_polys, removing common
+    factors against the running numerator and denominator as it goes, so
+    the pair (num, den) is always fully reduced with den > 0 and never
+    transits through unreduced products.
     """
 
-    __slots__ = ("seq", "n", "num", "den", "valuations", "track_value",
-                 "_F", "_DF", "_G", "_DG", "_dps")
+    __slots__ = ("seq", "n", "num", "den", "_A", "_B")
 
-    def __init__(self, seq: HypergeomSeq, primes: Sequence[int] = (),
-                 track_value: bool = True):
+    def __init__(self, seq: HypergeomSeq):
         self.seq = seq
         self.n = 0
-        self.track_value = track_value
         self.num = seq.u0.numerator
         self.den = seq.u0.denominator
-        self._F, self._DF, self._G, self._DG = seq.integer_forms()
-        self.valuations: dict[int, Valuation] = {}
-        self._dps = {}
-        for p in primes:
-            if self.num == 0:
-                self.valuations[p] = INFINITY
-            else:
-                self.valuations[p] = (int_valuation(self.num, p)
-                                      - int_valuation(self.den, p))
-            self._dps[p] = (int_valuation(self._DF, p)
-                            - int_valuation(self._DG, p))
+        self._A, self._B = step_polys(seq)
 
     @property
     def value(self) -> Fraction:
-        if not self.track_value:
-            raise ValueError("cursor was created with track_value=False")
         return Fraction(self.num, self.den)
-
-    def copy(self) -> "TermCursor":
-        c = object.__new__(TermCursor)
-        c.seq, c.n, c.num, c.den = self.seq, self.n, self.num, self.den
-        c.track_value = self.track_value
-        c._F, c._DF, c._G, c._DG = self._F, self._DF, self._G, self._DG
-        c.valuations = dict(self.valuations)
-        c._dps = self._dps
-        return c
 
     def advance(self) -> int:
         """Step to the next index; returns the new n."""
         m = self.n + 1
-        gm = int_eval(self._G, m)
-        fm = int_eval(self._F, m)
-        for p in self.valuations:
-            if self.valuations[p] is INFINITY or gm == 0:
-                self.valuations[p] = INFINITY
-            else:
-                self.valuations[p] += (int_valuation(gm, p)
-                                       - int_valuation(fm, p)
-                                       + self._dps[p])
-        if self.track_value and self.num != 0:
-            a = gm * self._DF
-            b = fm * self._DG
+        if self.num != 0:
+            a = int_eval(self._A, m)
             if a == 0:
                 self.num, self.den = 0, 1
             else:
+                b = int_eval(self._B, m)
                 if b < 0:
                     a, b = -a, -b
                 g0 = math.gcd(a, b)
@@ -244,31 +222,39 @@ def term(seq: HypergeomSeq, n: int) -> Fraction:
     return cur.value
 
 
+def valuations(seq: HypergeomSeq, p: int) -> Iterator[Valuation]:
+    """ν_p(u₀), ν_p(u₁), … without building the terms; INFINITY from the
+    first zero term on.  Raises BadPrime (on the first next()) unless p
+    is prime."""
+    if not is_prime(p):
+        raise BadPrime(f"{p} is not prime")
+    A, B = step_polys(seq)
+    if seq.u0 != 0:
+        v = padic_valuation(seq.u0, p)
+        m = 0
+        while True:
+            yield v
+            m += 1
+            a = int_eval(A, m)
+            if a == 0:
+                break
+            v += int_valuation(a, p) - int_valuation(int_eval(B, m), p)
+    while True:
+        yield INFINITY
+
+
 def term_valuation(seq: HypergeomSeq, n: int, p: int) -> Valuation:
     """ν_p(uₙ) without constructing the term itself."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if seq.u0 == 0:
-        return INFINITY
-    F, DF, G, DG = seq.integer_forms()
-    dp = int_valuation(DF, p) - int_valuation(DG, p)
-    v = padic_valuation(seq.u0, p)
-    for m in range(1, n + 1):
-        gm = int_eval(G, m)
-        if gm == 0:
-            return INFINITY
-        v += int_valuation(gm, p) - int_valuation(int_eval(F, m), p) + dp
-    return v
+    return next(islice(valuations(seq, p), n, None))
 
 
 def valuation_profile(seq: HypergeomSeq, p: int, n_max: int) -> list[Valuation]:
     """[ν_p(u₀), …, ν_p(u_{n_max})] in one streaming pass."""
-    cur = TermCursor(seq, primes=(p,), track_value=False)
-    out = [cur.valuations[p]]
-    for _ in range(n_max):
-        cur.advance()
-        out.append(cur.valuations[p])
-    return out
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    return list(islice(valuations(seq, p), n_max + 1))
 
 
 # -- regularization ----------------------------------------------------
@@ -432,13 +418,11 @@ def height_profile(seq: HypergeomSeq, n_max: int,
     for n in range(n_max + 1):
         if n > 0:
             cur.advance()
+        mag = max(abs(cur.num), cur.den)  # the pair is reduced, den > 0
+        h = math.log(mag)
         if n % stride == 0 or n == n_max:
-            mag = weil_height_exact(cur.value)
-            h = math.log(mag) if mag > 0 else 0.0
             rows.append((n, mag, h))
         if n >= max(half, 1):
-            mag = weil_height_exact(cur.value)
-            h = math.log(mag) if mag > 0 else 0.0
             growth = min(growth, h / n)
     return HeightProfile(tuple(rows), growth, n_max, stride)
 

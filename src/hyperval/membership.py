@@ -29,7 +29,7 @@ from .asymmetry import (
     scan_primes,
 )
 from .errors import HypervalError, NotHenselPrime, UnsupportedInput
-from .hyperseq import HypergeomSeq, TermCursor, term
+from .hyperseq import HypergeomSeq, TermCursor, step_polys, term
 from .numtheory import Rational, int_valuation, padic_valuation
 from .polyq import int_eval
 
@@ -203,7 +203,7 @@ def _decide_degenerate(seq: HypergeomSeq, t: Fraction,
     for n in range(first_zero):
         if n > 0:
             cur.advance()
-        if cur.value == t:
+        if (cur.num, cur.den) == (t.numerator, t.denominator):
             return _yes(n, seq, t, t0, checked=n + 1)
     return MembershipVerdict(
         "no", terms_checked=first_zero,
@@ -217,18 +217,18 @@ def _scan_prefix(seq: HypergeomSeq, t: Fraction, p: int, vt: int,
                  n0: int) -> Optional[int]:
     """First n < n0 with uₙ = t, or None.
 
-    Streams ν_p and two modular residues of the cross-multiplied
-    identity u0num·tden·DF^n·∏G(m) = tnum·u0den·DG^n·∏F(m); both are
-    conserved exactly at a true witness, so they only ever filter out
-    non-witnesses.  Survivors get an exact from-scratch check.
+    Steps with step_polys (uₘ = uₘ₋₁·A(m)/B(m)), streaming ν_p and two
+    modular residues of the cross-multiplied identity
+    u0num·tden·∏A(m) = tnum·u0den·∏B(m); both are conserved exactly at
+    a true witness, so they only ever filter out non-witnesses.
+    Survivors get an exact from-scratch check.
     """
-    F, DF, G, DG = seq.integer_forms()
+    A, B = step_polys(seq)
     u0n, u0d = seq.u0.numerator, seq.u0.denominator
     tn, td = t.numerator, t.denominator
     lhs1, rhs1 = (u0n * td) % _M1, (tn * u0d) % _M1
     lhs2, rhs2 = (u0n * td) % _M2, (tn * u0d) % _M2
     v = int_valuation(u0n, p) - int_valuation(u0d, p)
-    dp = int_valuation(DF, p) - int_valuation(DG, p)
     n = 0
     while True:
         if v == vt and lhs1 == rhs1 and lhs2 == rhs2:
@@ -237,10 +237,8 @@ def _scan_prefix(seq: HypergeomSeq, t: Fraction, p: int, vt: int,
         n += 1
         if n >= n0:
             return None
-        gm = int_eval(G, n)
-        fm = int_eval(F, n)
-        v += int_valuation(gm, p) - int_valuation(fm, p) + dp
-        a, b = gm * DF, fm * DG
+        a, b = int_eval(A, n), int_eval(B, n)
+        v += int_valuation(a, p) - int_valuation(b, p)
         lhs1, rhs1 = (lhs1 * a) % _M1, (rhs1 * b) % _M1
         lhs2, rhs2 = (lhs2 * a) % _M2, (rhs2 * b) % _M2
 

@@ -11,7 +11,6 @@ primes in progressions to measure equidistribution empirically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -29,8 +28,6 @@ from .numtheory import (
     squarefree_part,
 )
 from .polyq import discriminant_quadratic, factor
-
-_EXHAUSTIVE_LIMIT = 20  # coordinates; 2^20 brute force is still instant
 
 
 @dataclass(frozen=True)
@@ -114,31 +111,29 @@ def exists_condition_prime(
     """An ε with δ^(delta)·ε ≡ 0 and δ^(Δ′)·ε ≡ 1 (mod 2) for the rest.
 
     Coordinates follow _solver_vectors (a leading sign coordinate
-    appears iff the profile has negative discriminants).  Small systems
-    are enumerated lexicographically — the returned ε is the lex-least
-    solution — larger ones fall back to GF(2) elimination.  None means
-    the system is unsolvable, i.e. no condition prime exists at all.
+    appears iff the profile has negative discriminants).  The system is
+    solved by GF(2) elimination, which returns the lex-least solution.
+    None means the system is unsolvable, i.e. no condition prime exists
+    at all.
     """
     if delta not in profile.discs:
         raise ValueError(f"delta = {delta} is not one of the discriminants")
     vectors = _solver_vectors(profile)
     r = len(next(iter(vectors.values()))) if vectors else 0
     targets = [(vec, 0 if d == delta else 1) for d, vec in vectors.items()]
-    if r <= _EXHAUSTIVE_LIMIT:
-        for eps in itertools.product((0, 1), repeat=r):
-            if all(
-                sum(v * e for v, e in zip(vec, eps)) % 2 == want
-                for vec, want in targets
-            ):
-                return eps
-        return None
     return _gf2_solve(targets, r)
 
 
 def _gf2_solve(
     targets: Sequence[tuple[tuple[int, ...], int]], r: int
 ) -> Optional[tuple[int, ...]]:
-    """Particular solution of the affine GF(2) system, rows as bitmasks."""
+    """The lex-least solution of the affine GF(2) system, or None.
+
+    Rows become bitmasks with coordinate j at bit j.  Each pivot is the
+    top bit of its reduced row, so a pivot coordinate depends only on
+    lower coordinates; setting every free coordinate to 0 and fixing
+    pivots in ascending order minimizes ε₀ first, then ε₁, and so on.
+    """
     rows = []
     for vec, want in targets:
         mask = 0

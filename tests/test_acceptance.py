@@ -17,7 +17,13 @@ from hyperval.asymmetry import (
     make_certificate,
     slope_fit,
 )
-from hyperval.hyperseq import TermCursor, make_sequence, regularize, term
+from hyperval.hyperseq import (
+    TermCursor,
+    make_sequence,
+    regularize,
+    term,
+    valuation_profile,
+)
 from hyperval.membership import decide
 from hyperval.numtheory import factorize, legendre, sieve_primes, weil_height_exact
 from hyperval.padic import (
@@ -73,10 +79,9 @@ def test_criterion_02_factorial_valuation_oracle():
     """v_2(n!) = n - s_2(n) for n <= 1e5; fitted slope within 0.1% of 1."""
     t0 = time.monotonic()
     fact = make_sequence(ONE, X, 1)
-    cur = TermCursor(fact, primes=(2,), track_value=False)
+    vals = valuation_profile(fact, 2, 100_000)
     for n in range(1, 100_001):
-        cur.advance()
-        assert cur.valuations[2] == n - bin(n).count("1"), f"n={n}"
+        assert vals[n] == n - bin(n).count("1"), f"n={n}"
     fit = slope_fit(fact, 2, 100_000)
     assert fit.window == (50_000, 100_000)
     assert abs(float(fit.slope) - 1.0) <= 0.001
@@ -90,10 +95,9 @@ def test_criterion_03_envelope_soundness():
         cert = find_asymmetric_prime(seq).certificate
         assert cert is not None
         env = certified_envelope(cert, seq)
-        cur = TermCursor(seq, primes=(cert.p,), track_value=False)
+        vals = valuation_profile(seq, cert.p, 10_000)
         for n in range(1, 10_001):
-            cur.advance()
-            assert env(n) <= abs(cur.valuations[cert.p]), \
+            assert env(n) <= abs(vals[n]), \
                 f"envelope breach at p={cert.p}, n={n}"
     assert time.monotonic() - t0 < 60.0
 

@@ -15,7 +15,6 @@ from hyperval.asymmetry import (
     class_d_quadratic_check,
     find_asymmetric_prime,
     is_p_symmetric,
-    iter_asymmetric_certificates,
     make_certificate,
     root_counts,
     scan_primes,
@@ -27,7 +26,7 @@ from hyperval.errors import (
     UnsupportedFactorization,
     UnsupportedInput,
 )
-from hyperval.hyperseq import TermCursor, make_sequence
+from hyperval.hyperseq import make_sequence, valuation_profile
 from hyperval.numtheory import legendre, sieve_primes
 from hyperval.polyq import RatPoly
 
@@ -157,10 +156,11 @@ class TestScans:
             find_asymmetric_prime(factorial, p_min=1)
 
     def test_iter_in_increasing_order(self, sq_pair):
-        ps = [c.p for c in iter_asymmetric_certificates(sq_pair, 2, 60)]
+        ps = [p for p, o in scan_primes(sq_pair, 2, 60)
+              if not isinstance(o, str)]
         assert ps == [7, 11, 13, 17, 31, 37, 41, 59]
-        assert [c.p for c in iter_asymmetric_certificates(sq_pair, 10, 60)] \
-            == [11, 13, 17, 31, 37, 41, 59]
+        assert [p for p, o in scan_primes(sq_pair, 10, 60)
+                if not isinstance(o, str)] == [11, 13, 17, 31, 37, 41, 59]
 
 
 def _reference_outcome(seq, p, coprime_with):
@@ -269,10 +269,9 @@ class TestEnvelope:
 
     def test_square_pair_envelope_sound(self, sq_pair):
         env = certified_envelope(make_certificate(sq_pair, 7), sq_pair)
-        cur = TermCursor(sq_pair, primes=(7,), track_value=False)
+        vals = valuation_profile(sq_pair, 7, 3000)
         for n in range(1, 3001):
-            cur.advance()
-            assert env(n) <= abs(cur.valuations[7])
+            assert env(n) <= abs(vals[n])
 
     def test_bound_index_frozen(self, factorial, sq_pair):
         env_f = certified_envelope(make_certificate(factorial, 2), factorial)
@@ -286,11 +285,8 @@ class TestEnvelope:
         # Past n0 the certified bound exceeds tau, so indices with
         # |v_7| <= tau must all sit below n0.
         env = certified_envelope(make_certificate(sq_pair, 7), sq_pair)
-        cur = TermCursor(sq_pair, primes=(7,), track_value=False)
-        vals = {}
-        for n in range(1, 3001):
-            cur.advance()
-            vals[n] = abs(cur.valuations[7])
+        prof = valuation_profile(sq_pair, 7, 3000)
+        vals = {n: abs(prof[n]) for n in range(1, 3001)}
         for tau in (0, 3, 7):
             n0 = env.bound_index(tau)
             assert all(n < n0 for n, v in vals.items() if v <= tau)

@@ -2,12 +2,16 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperval
 from hyperval.cli import MAX_EXPONENT, main, parse_poly, parse_rational
 from hyperval.errors import PolyParseError
 from hyperval.padic import hensel_lift, zero_run_length
@@ -154,6 +158,28 @@ class TestHeightAndValuation:
         assert out.splitlines() == [
             "v_3(u_0) = 0", "v_3(u_1) = 0", "v_3(u_2) = -1",
             "v_3(u_3) = inf", "v_3(u_4) = inf"]
+
+    @pytest.mark.parametrize("p", ["0", "4", "-3"])
+    def test_non_prime_p_is_a_domain_error(self, p):
+        code, out, err = run("valuation", "--f", "1", "--g", "x", "--u0", "1",
+                             "--p", p, "--nmax", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: type=BadPrime ")
+
+    def test_p_one_exits_instead_of_hanging(self):
+        # a subprocess with a timeout, so a hang fails the test instead
+        # of stalling the suite
+        src = os.path.dirname(os.path.dirname(hyperval.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from hyperval.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "valuation", "--f", "1", "--g", "x", "--u0", "1", "--p", "1",
+             "--nmax", "5"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: type=BadPrime ")
 
 
 class TestRegularize:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperval.asymmetry import slope_fit
 from hyperval.errors import (
     BadPrime,
     InvalidF,
@@ -22,7 +23,7 @@ from hyperval.hyperseq import (
     usable_prime,
     valuation_profile,
 )
-from hyperval.numtheory import INFINITY
+from hyperval.numtheory import INFINITY, padic_valuation, weil_height_exact
 from hyperval.polyq import ONE, RatPoly, X
 
 
@@ -129,33 +130,30 @@ class TestTermCursor:
         with pytest.raises(ValueError):
             cur.advance_to(5)  # cursors only move forward
 
-    def test_copy_is_independent(self, factorial):
-        cur = TermCursor(factorial)
-        cur.advance_to(5)
-        snap = cur.copy()
-        cur.advance()
-        assert snap.n == 5 and snap.value == 120
-        assert cur.value == 720
 
-    def test_valuation_tracking(self, factorial):
-        cur = TermCursor(factorial, primes=(2, 3))
-        for n in range(1, 50):
-            cur.advance()
-            assert cur.valuations[2] == term_valuation(factorial, n, 2)
-            assert cur.valuations[3] == term_valuation(factorial, n, 3)
+FIXTURES = ("factorial", "telescoping", "sq_pair", "class_c_seq", "geometric",
+            "twin_field", "catalan", "eventually_zero", "fractional_coeffs",
+            "double_root", "sym_pair", "mixed_degree")
 
-    def test_valuation_of_zero_terms(self, eventually_zero):
-        cur = TermCursor(eventually_zero, primes=(2,))
-        cur.advance_to(4)
-        assert cur.valuations[2] is INFINITY
-        assert cur.value == 0
 
-    def test_untracked_value_unavailable(self, factorial):
-        cur = TermCursor(factorial, primes=(2,), track_value=False)
-        cur.advance_to(8)
-        assert cur.valuations[2] == 7  # v_2(8!) = 8 - 1
-        with pytest.raises(ValueError):
-            _ = cur.value
+class TestWalkDifferential:
+    """The value walk and the valuation walk against from-scratch terms."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_heights_match_terms(self, name, request):
+        seq = request.getfixturevalue(name)
+        prof = height_profile(seq, 60)
+        mags = [weil_height_exact(term(seq, n)) for n in range(61)]
+        assert [(n, mag) for n, mag, _ in prof.rows] == list(enumerate(mags))
+        assert prof.growth_constant == min(
+            math.log(mags[n]) / n for n in range(30, 61))
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_valuations_match_terms(self, name, request):
+        seq = request.getfixturevalue(name)
+        for p in (2, 3, 5, 7):
+            assert valuation_profile(seq, p, 60) == \
+                [padic_valuation(term(seq, n), p) for n in range(61)]
 
 
 class TestUsablePrime:
@@ -199,6 +197,19 @@ class TestValuationProfile:
         prof = valuation_profile(eventually_zero, 5, 6)
         assert prof[3] is INFINITY and prof[6] is INFINITY
         assert prof[2] == 0
+
+    @pytest.mark.parametrize("p", [1, 0, 4, -3])
+    def test_non_prime_rejected(self, factorial, p):
+        with pytest.raises(BadPrime):
+            valuation_profile(factorial, p, 5)
+        with pytest.raises(BadPrime):
+            term_valuation(factorial, 5, p)
+        with pytest.raises(BadPrime):
+            slope_fit(factorial, p, 40)
+
+    def test_negative_n_max_rejected(self, factorial):
+        with pytest.raises(ValueError):
+            valuation_profile(factorial, 2, -3)
 
 
 class TestHeightProfile:

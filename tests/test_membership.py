@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperval import asymmetry
-from hyperval.asymmetry import find_asymmetric_prime, iter_asymmetric_certificates
+from hyperval.asymmetry import find_asymmetric_prime, scan_primes
 from hyperval.hyperseq import make_sequence, term
 from hyperval.membership import MembershipConfig, decide, decide_batch
 from hyperval.polyq import RatPoly
@@ -172,8 +172,9 @@ class TestDegenerateSequences:
 class TestCertificateSelection:
     def test_slope_preference(self, factorial):
         v = decide(factorial, 100)
-        usable = list(iter_asymmetric_certificates(
-            factorial, 2, 100, coprime_with=(Fraction(100),)))
+        usable = [o for _, o in scan_primes(
+            factorial, 2, 100, coprime_with=(Fraction(100),))
+            if not isinstance(o, str)]
         want = max(usable, key=lambda c: (c.A, -c.p))
         assert (v.certificate.p, v.certificate.A) == (want.p, want.A)
 
@@ -185,8 +186,8 @@ class TestCertificateSelection:
 
     def test_forced_primes_agree(self, sq_pair):
         t = term(sq_pair, 7)
-        alts = [c.p for c in iter_asymmetric_certificates(
-            sq_pair, 2, 300, coprime_with=(t,))][:3]
+        alts = [p for p, o in scan_primes(sq_pair, 2, 300, coprime_with=(t,))
+                if not isinstance(o, str)][:3]
         assert len(alts) == 3
         for fp in alts:
             cfg = MembershipConfig(forced_prime=fp)

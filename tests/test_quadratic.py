@@ -1,5 +1,6 @@
 """Tests for discriminant profiles, condition primes, and equidistribution."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hyperval.numtheory import factorize, legendre, sieve_primes, squarefree_par
 from hyperval.polyq import RatPoly
 from hyperval.quadratic import (
     DiscriminantProfile,
+    _gf2_solve,
     class_c_check,
     discriminant_profile,
     equidistribution_sample,
@@ -136,6 +138,21 @@ class TestConditionPrimes:
             p = search.prime
             assert legendre(delta, p) == 1
             assert all(legendre(d, p) == -1 for d in discs - {delta})
+
+    def test_gf2_solve_is_lex_least(self):
+        # Differential check against enumerating every ε in lex order.
+        rng = random.Random(20261018)
+        kinds = set()
+        for _ in range(400):
+            r = rng.randint(1, 7)
+            targets = [(tuple(rng.randint(0, 1) for _ in range(r)),
+                        rng.randint(0, 1)) for _ in range(rng.randint(1, 6))]
+            want = next((eps for eps in itertools.product((0, 1), repeat=r)
+                         if all(sum(v * e for v, e in zip(vec, eps)) % 2 == w
+                                for vec, w in targets)), None)
+            assert _gf2_solve(targets, r) == want, targets
+            kinds.add(want is None)
+        assert kinds == {True, False}
 
     def test_exists_matches_brute_scan(self):
         # Independent route: scan primes directly for the sign pattern;
