@@ -23,10 +23,11 @@ from .hyperseq import HypergeomSeq, usable_prime, valuations
 from .numtheory import (
     INFINITY,
     Rational,
+    require_prime,
     sieve_primes,
     squarefree_part,
 )
-from .padic import count_roots_mod_p
+from .padic import count_roots_mod_p, frobenius_root_count, reduce_mod_p
 from .polyq import discriminant_quadratic, factor
 
 
@@ -140,10 +141,11 @@ def make_certificate(seq: HypergeomSeq, p: int,
                      coprime_with: Sequence[Rational] = ()) -> AsymmetryCertificate:
     """Build the certificate at a specific prime, or fail loudly.
 
-    Raises NotHenselPrime if the prime cannot be trusted, ValueError if
-    the root counts are equal or the prime divides u₀ (or one of the
-    extra rationals to stay coprime with).
+    Raises BadPrime if p is not prime, NotHenselPrime if the prime
+    cannot be trusted, ValueError if the root counts are equal or the
+    prime divides u₀ (or one of the extra rationals to stay coprime with).
     """
+    require_prime(p)
     reason = _exclusion(seq, p, coprime_with)
     if reason is not None:
         raise ValueError(reason)
@@ -167,7 +169,8 @@ def scan_primes(
     The outcome is "excluded" (p divides u₀ or a value in coprime_with),
     "unusable" (p fails the trust gate), "symmetric" (equal root
     counts), or the certificate at p.  This is the one prime-scan loop;
-    it raises nothing per prime.
+    it raises nothing per prime, and usable_prime is its one primality
+    check per prime.
     """
     for p in sieve_primes(p_max):
         if p < p_min:
@@ -177,8 +180,8 @@ def scan_primes(
         elif not usable_prime(seq, p):
             yield p, "unusable"
         else:
-            m_f = count_roots_mod_p(seq.f, p)
-            m_g = count_roots_mod_p(seq.g, p)
+            m_f = frobenius_root_count(reduce_mod_p(seq.f, p), p)
+            m_g = frobenius_root_count(reduce_mod_p(seq.g, p), p)
             yield p, ("symmetric" if m_f == m_g
                       else _certificate(seq, p, m_f, m_g))
 

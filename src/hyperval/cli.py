@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import HypervalError, PolyParseError
+from .errors import HypervalError, NotSimpleRoot, PolyParseError
 from .polyq import RatPoly, X
 
 FORMAT_VERSION = 1
@@ -259,15 +259,17 @@ def _cmd_terms(args) -> int:
         for n in range(args.n + 1):
             if n > 0:
                 cur.advance()
+            # str() of the reduced pair, as Fraction prints it
+            u = str(cur.num) if cur.den == 1 else f"{cur.num}/{cur.den}"
             if args.format == "csv":
-                yield f"{n},{cur.value}"
+                yield f"{n},{u}"
             elif args.format == "structured-text":
-                yield f"term: n={n} u={cur.value}"
+                yield f"term: n={n} u={u}"
             else:
-                yield f"u_{n} = {cur.value}"
+                yield f"u_{n} = {u}"
 
-    head = [] if args.format == "human" else ["n,u_n"] if args.format == "csv" else []
-    _emit(args.format, list(head) + list(rows()))
+    head = ["n,u_n"] if args.format == "csv" else []
+    _emit(args.format, head + list(rows()))
     return 0
 
 
@@ -441,19 +443,19 @@ def _cmd_equidist(args) -> int:
 
 
 def _cmd_padic(args) -> int:
-    from .padic import hensel_lift, reduce_mod_p, roots_mod_p, zero_run_length
+    from .padic import hensel_lift, roots_mod_p, zero_run_length
 
     poly = parse_poly(args.poly)
-    deriv = poly.derivative()
     lines = []
     roots = roots_mod_p(poly, args.p)
     if not roots:
         lines.append(f"no roots mod {args.p}")
     for r in roots:
-        if reduce_mod_p(deriv, args.p)(r) == 0:
+        try:
+            lifted = hensel_lift(poly, args.p, r, args.digits)
+        except NotSimpleRoot:
             lines.append(f"root {r}: multiple root mod {args.p}, not lifted")
             continue
-        lifted = hensel_lift(poly, args.p, r, args.digits)
         digits = " ".join(str(lifted.digit(i)) for i in range(args.digits))
         lines.append(f"root {r}: digits (least significant first) {digits}")
         if args.zero_run is not None:

@@ -23,16 +23,16 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional, Union
 
-from .errors import BadPrime, InvalidF, UnsupportedFactorization, UnsupportedInput
+from .errors import InvalidF, UnsupportedFactorization, UnsupportedInput
 from .numtheory import (
     INFINITY,
     Rational,
     Valuation,
     int_valuation,
-    is_prime,
     padic_valuation,
+    require_prime,
 )
-from .padic import is_hensel_prime
+from .padic import is_squarefree_mod_p, reduce_mod_p
 from .polyq import (
     RatPoly,
     RationalFunction,
@@ -134,15 +134,17 @@ def usable_prime(seq: HypergeomSeq, p: int) -> bool:
     factors of f·g square-free mod p — so distinct roots stay distinct
     and every root lifts uniquely.
     """
-    if not is_prime(p):
-        raise BadPrime(f"{p} is not prime")
+    require_prime(p)
     for poly in (seq.f, seq.g):
         for c in poly.coeffs:
             if c.denominator % p == 0:
                 return False
         if poly.leading.numerator % p == 0:
             return False
-    return is_hensel_prime(seq.radical_fg, p)
+    # past these checks f·g is a p-unit times a monic p-integral
+    # polynomial, so (Gauss's lemma) its monic radical is p-integral:
+    # of is_hensel_prime's tests only square-freeness is left to make
+    return is_squarefree_mod_p(reduce_mod_p(seq.radical_fg, p), p)
 
 
 def step_polys(seq: HypergeomSeq) -> tuple[list[int], list[int]]:
@@ -226,8 +228,7 @@ def valuations(seq: HypergeomSeq, p: int) -> Iterator[Valuation]:
     """ν_p(u₀), ν_p(u₁), … without building the terms; INFINITY from the
     first zero term on.  Raises BadPrime (on the first next()) unless p
     is prime."""
-    if not is_prime(p):
-        raise BadPrime(f"{p} is not prime")
+    require_prime(p)
     A, B = step_polys(seq)
     if seq.u0 != 0:
         v = padic_valuation(seq.u0, p)

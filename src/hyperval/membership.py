@@ -88,12 +88,9 @@ class MembershipVerdict:
         ])
 
 
-def _yes(n: int, seq: HypergeomSeq, t: Fraction, t0: float,
-         certificate=None, bound_n0=None, checked=0) -> MembershipVerdict:
-    if term(seq, n) != t:
-        raise AssertionError(
-            f"witness verification failed at n = {n}"
-        )
+def _yes(n: int, t0: float, certificate=None, bound_n0=None,
+         checked=0) -> MembershipVerdict:
+    """The verdict for a witness its caller has already checked exactly."""
     return MembershipVerdict(
         "yes", witness=n, certificate=certificate, bound_n0=bound_n0,
         terms_checked=checked, wall_time=time.monotonic() - t0,
@@ -169,8 +166,7 @@ def decide(seq: HypergeomSeq, t: Union[Rational, int],
 
     hit = _scan_prefix(seq, t, cert.p, vt, n0)
     if hit is not None:
-        return _yes(hit, seq, t, t0, certificate=cert, bound_n0=n0,
-                    checked=hit + 1)
+        return _yes(hit, t0, certificate=cert, bound_n0=n0, checked=hit + 1)
     return MembershipVerdict(
         "no", certificate=cert, bound_n0=n0, terms_checked=n0,
         reason=f"|v_{cert.p}| exceeds {vt} for all n >= {n0}; "
@@ -186,7 +182,10 @@ def _decide_degenerate(seq: HypergeomSeq, t: Fraction,
     first_zero = 0 if seq.u0 == 0 else (min(roots) if roots else None)
     if t == 0:
         # first_zero is not None here: degenerate_zero flag implies it
-        return _yes(first_zero, seq, t, t0, checked=first_zero + 1)
+        if term(seq, first_zero) != 0:
+            raise AssertionError(
+                f"witness verification failed at n = {first_zero}")
+        return _yes(first_zero, t0, checked=first_zero + 1)
     if seq.u0 == 0:
         return MembershipVerdict(
             "no", reason="the zero sequence never equals a nonzero target",
@@ -204,7 +203,7 @@ def _decide_degenerate(seq: HypergeomSeq, t: Fraction,
         if n > 0:
             cur.advance()
         if (cur.num, cur.den) == (t.numerator, t.denominator):
-            return _yes(n, seq, t, t0, checked=n + 1)
+            return _yes(n, t0, checked=n + 1)
     return MembershipVerdict(
         "no", terms_checked=first_zero,
         reason=f"target differs from the {first_zero} nonzero terms and "

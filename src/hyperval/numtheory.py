@@ -2,7 +2,9 @@
 
 Primality testing, Legendre symbols, modular square roots, square-free
 parts, p-adic valuations, Weil heights of rationals, and prime lists in
-arithmetic progressions.  Everything here is exact: rationals are
+arithmetic progressions.  require_prime is the one check that a
+caller's p is prime; the mod-p kernels below it (euler_criterion,
+tonelli_shanks) trust their p.  Everything here is exact: rationals are
 ``fractions.Fraction`` (already reduced, positive denominator), and the
 p-adic valuation of zero is the distinct value :data:`INFINITY` rather
 than a sentinel integer.
@@ -110,13 +112,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    """Raise BadPrime unless p is prime: the one primality check, made
+    where a caller's p enters the library."""
+    if not is_prime(p):
+        raise BadPrime(f"{p} is not prime")
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1}; p must be an odd prime."""
-    if p == 2 or not is_prime(p):
+    require_prime(p)
+    if p == 2:
         raise BadPrime(f"legendre symbol needs an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
+    return euler_criterion(a, p)
+
+
+def euler_criterion(a: int, p: int) -> int:
+    """(a/p) as a^((p-1)/2) mod p, in {-1, 0, 1}; p an odd prime, not
+    re-tested."""
     ls = pow(a, (p - 1) // 2, p)
     return -1 if ls == p - 1 else ls
 
@@ -133,17 +146,22 @@ def sqrt_mod(a: int, p: int) -> int:
         raise NonResidue(f"{a} is divisible by {p}")
     if ls == -1:
         raise NonResidue(f"{a} is not a quadratic residue mod {p}")
-    a %= p
+    return tonelli_shanks(a % p, p)
+
+
+def tonelli_shanks(a: int, p: int) -> int:
+    """The root D < p/2 of D^2 = a mod p, for a nonzero quadratic residue
+    a in [1, p); p an odd prime, not re-tested."""
     if p % 4 == 3:
         x = pow(a, (p + 1) // 4, p)
     else:
-        # Tonelli-Shanks: write p - 1 = q * 2^s with q odd.
+        # write p - 1 = q * 2^s with q odd
         q, s = p - 1, 0
         while q % 2 == 0:
             q //= 2
             s += 1
         z = 2
-        while legendre(z, p) != -1:
+        while euler_criterion(z, p) != -1:
             z += 1
         m, c, t, x = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
         while t != 1:

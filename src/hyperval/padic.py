@@ -5,6 +5,8 @@ p-element field via gcd with x^p - x, detection of primes where every
 root lifts uniquely, Newton/Hensel lifting to prime-power precision, and
 digit-level diagnostics of lifted roots (zero runs, pattern frequencies,
 and the valuation identity at n = p^s that ties digit runs to ν_p(u_n)).
+Public functions check that p is prime; the kernels on reduced lists
+(reduce_mod_p, frobenius_root_count, is_squarefree_mod_p) trust it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
     NotSimpleRoot,
     PrecisionExhausted,
 )
-from .numtheory import is_prime, mod_rep, padic_valuation
+from .numtheory import mod_rep, padic_valuation, require_prime
 from .polyq import RatPoly, poly_gcd
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -28,70 +30,37 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 DEFAULT_DIGIT_CAP = 2**14
 
 
-@dataclass(frozen=True)
-class ModPoly:
-    """Dense polynomial over the p-element field, coefficients in [0,p)."""
-
-    p: int
-    coeffs: tuple[int, ...]  # little-endian, no trailing zeros
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, a: int) -> int:
-        return _fp.eval_at(list(self.coeffs), a % self.p, self.p)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                xpart = "x" if i == 1 else f"x^{i}"
-                parts.append(xpart if c == 1 else f"{c}*{xpart}")
-        return " + ".join(parts)
-
-
-def _require_prime(p: int) -> None:
-    if p < 2 or not is_prime(p):
-        raise BadPrime(f"{p} is not prime")
-
-
-def reduce_mod_p(f: RatPoly, p: int) -> ModPoly:
-    """Coefficientwise reduction of f modulo p.
+def reduce_mod_p(f: RatPoly, p: int) -> list[int]:
+    """Coefficientwise reduction of f modulo p, as a little-endian _fp
+    list without trailing zeros; p prime, not re-tested.
 
     Denominators are inverted mod p; a denominator divisible by p is a
     BadPrime error.
     """
-    _require_prime(p)
     coeffs = [mod_rep(c, p) for c in f.coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    return ModPoly(p, tuple(coeffs))
+    return coeffs
 
 
 def count_roots_mod_p(f: RatPoly, p: int) -> int:
-    """Number of roots of f in the p-element field, with multiplicity.
+    """Number of roots of f in the p-element field, with multiplicity."""
+    require_prime(p)
+    h = reduce_mod_p(f, p)
+    if not h:
+        raise ValueError("polynomial vanishes identically mod p")
+    return frobenius_root_count(h, p)
+
+
+def frobenius_root_count(h: list[int], p: int) -> int:
+    """Roots of the nonzero reduced list h mod p, with multiplicity; p
+    prime, not re-tested.
 
     Iterated gcd with x^p - x (x^p computed by modular exponentiation):
     each pass collects deg gcd roots and divides them out, so a root of
     multiplicity e is counted e times.  Simple roots with multiplicity 1
     everywhere reduce this to the classical deg gcd(f, x^p - x) count.
     """
-    fp_poly = reduce_mod_p(f, p)
-    if fp_poly.is_zero:
-        raise ValueError("polynomial vanishes identically mod p")
-    h = list(fp_poly.coeffs)
     total = 0
     while _fp.deg(h) > 0:
         xp = _fp.pow_mod([0, 1], p, h, p)
@@ -106,10 +75,10 @@ def count_roots_mod_p(f: RatPoly, p: int) -> int:
 
 def roots_mod_p(f: RatPoly, p: int) -> list[int]:
     """The distinct roots of f in the p-element field (direct scan)."""
-    fp_poly = reduce_mod_p(f, p)
-    if fp_poly.is_zero:
+    require_prime(p)
+    c = reduce_mod_p(f, p)
+    if not c:
         raise ValueError("polynomial vanishes identically mod p")
-    c = list(fp_poly.coeffs)
     return [a for a in range(p) if _fp.eval_at(c, a, p) == 0]
 
 
@@ -119,7 +88,7 @@ def is_hensel_prime(f: RatPoly, p: int) -> bool:
     Operationally: p divides no coefficient denominator, p does not
     divide the leading coefficient, and f is square-free mod p.
     """
-    _require_prime(p)
+    require_prime(p)
     if f.is_zero:
         raise ValueError("zero polynomial")
     for c in f.coeffs:
@@ -127,7 +96,11 @@ def is_hensel_prime(f: RatPoly, p: int) -> bool:
             return False
     if mod_rep(f.leading, p) == 0:
         return False
-    h = list(reduce_mod_p(f, p).coeffs)
+    return is_squarefree_mod_p(reduce_mod_p(f, p), p)
+
+
+def is_squarefree_mod_p(h: list[int], p: int) -> bool:
+    """Is the reduced list h square-free mod p?  p prime, not re-tested."""
     return _fp.deg(_fp.gcd(h, _fp.derivative(h, p), p)) <= 0
 
 
@@ -182,9 +155,7 @@ def hensel_lift(f: RatPoly, p: int, r0: int, k: int) -> PadicRoot:
     Newton iteration with doubling precision; the defining congruence
     f(value) ≡ 0 (mod p^k) is asserted before returning.
     """
-    _require_prime(p)
-    if k < 1:
-        raise ValueError(f"precision must be >= 1, got {k}")
+    require_prime(p)
     F = _to_pintegral_int_poly(f, p)
     Fd = [i * c for i, c in enumerate(F)][1:]
     r0 %= p
@@ -194,6 +165,8 @@ def hensel_lift(f: RatPoly, p: int, r0: int, k: int) -> PadicRoot:
         raise NotSimpleRoot(
             f"derivative vanishes at {r0} mod {p}; root is not simple"
         )
+    if k < 1:
+        raise ValueError(f"precision must be >= 1, got {k}")
     prec = 1
     r = r0
     while prec < k:
@@ -272,7 +245,7 @@ def _strip_zero_roots(f: RatPoly) -> tuple[RatPoly, int]:
 
 def _root_multiplicity(f: RatPoly, p: int, a: int) -> int:
     """Multiplicity of the root a of f mod p (via repeated division)."""
-    c = list(reduce_mod_p(f, p).coeffs)
+    c = reduce_mod_p(f, p)
     lin = [(-a) % p, 1]
     mult = 0
     while _fp.deg(c) >= 1:

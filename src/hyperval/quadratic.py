@@ -19,13 +19,15 @@ from .errors import EmptySampleSet, UnsupportedFactorization
 from .hyperseq import HypergeomSeq
 from .numtheory import (
     Rational,
+    euler_criterion,
     factorize,
-    legendre,
     mod_rep,
     primes_in_progression,
+    require_prime,
     sieve_primes,
     sqrt_mod,
     squarefree_part,
+    tonelli_shanks,
 )
 from .polyq import discriminant_quadratic, factor
 
@@ -194,9 +196,9 @@ def find_condition_prime(
         if p == 2 or any(abs(d) % p == 0 for d in profile.discs):
             continue
         tested += 1
-        if legendre(delta, p) != 1:
+        if euler_criterion(delta, p) != 1:
             continue
-        if all(legendre(d, p) == -1 for d in others):
+        if all(euler_criterion(d, p) == -1 for d in others):
             return ConditionPrimeSearch(p, "found by direct scan", tested)
     return ConditionPrimeSearch(
         None,
@@ -211,6 +213,7 @@ def find_condition_prime(
 def rep_quadratic(r: Rational, s: Rational, delta: int, p: int,
                   sign: int = 1) -> int:
     """rep(r + sign·s·D) in [0, p) with D = √delta mod p, D < p/2."""
+    require_prime(p)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     d_root = sqrt_mod(delta % p, p)
@@ -259,13 +262,13 @@ def _collect_samples(
     skipped = 0
     r_den = Fraction(r).denominator
     s_den = Fraction(s).denominator
-    for p in primes:
-        if p == 2 or legendre(delta, p) != 1:
+    for p in primes:  # sieved: the kernels need no primality check
+        if p == 2 or euler_criterion(delta, p) != 1:
             continue
         if r_den % p == 0 or s_den % p == 0:
             skipped += 1
             continue
-        d_root = sqrt_mod(delta % p, p)
+        d_root = tonelli_shanks(delta % p, p)
         base = mod_rep(r, p)
         offs = mod_rep(s, p) * d_root
         out.append(((base + offs) % p, p))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hyperval.asymmetry import (
     AsymmetryCertificate,
-    Envelope,
     certified_envelope,
     class_d_quadratic_check,
     find_asymmetric_prime,

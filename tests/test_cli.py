@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import hyperval
 from hyperval.cli import MAX_EXPONENT, main, parse_poly, parse_rational
 from hyperval.errors import PolyParseError
+from hyperval.hyperseq import make_sequence, term
 from hyperval.padic import hensel_lift, zero_run_length
 from hyperval.polyq import RatPoly
 
@@ -135,6 +136,24 @@ class TestTerms:
         assert out.splitlines() == [
             "# hyperval structured-text 1",
             "term: n=0 u=1", "term: n=1 u=2/3", "term: n=2 u=1/2"]
+
+    @pytest.mark.parametrize("fmt", ["human", "csv", "structured-text"])
+    def test_negative_fractional_terms(self, fmt):
+        seq = make_sequence(X + RatPoly([2]), X * X - RatPoly([7]),
+                            Fraction(-5, 7))
+        code, out, _ = run("--format", fmt, "terms", "--f", "x+2",
+                           "--g", "x^2-7", "--u0=-5/7", "--n", "12")
+        assert code == 0
+        want = [str(term(seq, n)) for n in range(13)]
+        assert want[0] == "-5/7" and any(u.startswith("-") and "/" in u
+                                         for u in want[1:])
+        rows = {"human": [f"u_{n} = {u}" for n, u in enumerate(want)],
+                "csv": ["n,u_n"] + [f"{n},{u}" for n, u in enumerate(want)],
+                "structured-text": [f"term: n={n} u={u}"
+                                    for n, u in enumerate(want)]}[fmt]
+        lines = out.splitlines()
+        assert lines[-len(rows):] == rows
+        assert len(lines) == len(rows) + (fmt != "human")
 
 
 class TestHeightAndValuation:
@@ -278,6 +297,14 @@ class TestMembership:
         # target itself must at least parse
         assert code == 0
 
+    @pytest.mark.parametrize("p", ["0", "1", "4"])
+    def test_non_prime_forced_prime_is_a_domain_error(self, p):
+        code, out, err = run("membership", "--f", "1", "--g", "x",
+                             "--u0", "1", "--target", "120",
+                             "--forced-prime", p)
+        assert (code, out) == (1, "")
+        assert err == f"error: type=BadPrime message={p} is not prime\n"
+
 
 class TestEquidist:
     def test_csv_bins(self):
@@ -335,6 +362,11 @@ class TestPadic:
         code, out, _ = run("padic", "--poly", "(x+1)^2", "--p", "5")
         assert code == 0
         assert "root 4: multiple root mod 5, not lifted" in out
+
+    def test_multiple_root_reported_before_the_precision_check(self):
+        code, out, _ = run("padic", "--poly", "(x+1)^2", "--p", "5",
+                           "--digits", "0")
+        assert (code, out) == (0, "root 4: multiple root mod 5, not lifted\n")
 
     def test_zero_run(self):
         code, out, _ = run("padic", "--poly", "x^2-2", "--p", "7",

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from hyperval.errors import (
     UnsupportedInput,
 )
 from hyperval.hyperseq import (
-    HypergeomSeq,
     TermCursor,
     height_profile,
     make_sequence,
@@ -23,7 +23,13 @@ from hyperval.hyperseq import (
     usable_prime,
     valuation_profile,
 )
-from hyperval.numtheory import INFINITY, padic_valuation, weil_height_exact
+from hyperval.numtheory import (
+    INFINITY,
+    padic_valuation,
+    sieve_primes,
+    weil_height_exact,
+)
+from hyperval.padic import is_hensel_prime
 from hyperval.polyq import ONE, RatPoly, X
 
 
@@ -179,6 +185,42 @@ class TestUsablePrime:
     def test_composite_rejected(self, factorial):
         with pytest.raises(BadPrime):
             usable_prime(factorial, 6)
+
+    @staticmethod
+    def _full_gate(seq, p):
+        """The gate with is_hensel_prime's own checks on the radical."""
+        for poly in (seq.f, seq.g):
+            if any(c.denominator % p == 0 for c in poly.coeffs) or \
+                    poly.leading.numerator % p == 0:
+                return False
+        return is_hensel_prime(seq.radical_fg, p)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_radical_checks_are_implied(self, name, request):
+        # usable_prime tests only square-freeness of the monic radical:
+        # the f and g checks make it p-integral with leading coefficient 1
+        seq = request.getfixturevalue(name)
+        for p in sieve_primes(300):
+            assert usable_prime(seq, p) == self._full_gate(seq, p), p
+
+    def test_radical_checks_are_implied_on_random_sequences(self):
+        rng = random.Random(5)
+        dens = (1, 1, 2, 3, 4, 5, 9, 25)
+        checked = 0
+        while checked < 40:
+            f, g = (RatPoly([Fraction(rng.randint(-12, 12), rng.choice(dens))
+                             for _ in range(rng.randint(2, 4))]
+                            + [Fraction(rng.choice((1, 2, 3, 6, 10)),
+                                        rng.choice(dens))])
+                    for _ in range(2))
+            try:
+                seq = make_sequence(f, g, Fraction(1))
+            except InvalidF:
+                continue
+            checked += 1
+            for p in sieve_primes(60):
+                assert usable_prime(seq, p) == self._full_gate(seq, p), \
+                    (str(f), str(g), p)
 
 
 class TestValuationProfile:

@@ -3,11 +3,10 @@
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperval import asymmetry
+from hyperval import asymmetry, membership
 from hyperval.asymmetry import find_asymmetric_prime, scan_primes
 from hyperval.hyperseq import make_sequence, term
 from hyperval.membership import MembershipConfig, decide, decide_batch
@@ -54,6 +53,38 @@ class TestYesVerdicts:
         v = decide(factorial, big)
         assert (v.outcome, v.witness) == ("yes", 200)
         assert v.bound_n0 > 200
+
+
+def _term_calls(monkeypatch):
+    """The indices of every term() call made by membership."""
+    calls = []
+
+    def counting(seq, n):
+        calls.append(n)
+        return term(seq, n)
+
+    monkeypatch.setattr(membership, "term", counting)
+    return calls
+
+
+class TestExactChecks:
+    def test_one_exact_check_per_yes(self, factorial, monkeypatch):
+        calls = _term_calls(monkeypatch)
+        assert decide(factorial, 120).witness == 5
+        assert calls == [5]
+
+    def test_degenerate_zero_target_checked_once(self, eventually_zero,
+                                                 monkeypatch):
+        calls = _term_calls(monkeypatch)
+        assert decide(eventually_zero, 0).witness == 3
+        assert calls == [3]
+
+    def test_cursor_match_needs_no_rebuild(self, eventually_zero,
+                                           monkeypatch):
+        # the cursor's reduced pair already equals the target exactly
+        calls = _term_calls(monkeypatch)
+        assert decide(eventually_zero, Fraction(1, 3)).witness == 2
+        assert calls == []
 
 
 class TestNoVerdicts:

@@ -8,7 +8,6 @@ from hyperval.errors import (
     NotSimpleRoot,
     PrecisionExhausted,
 )
-from hyperval.numtheory import INFINITY, sieve_primes
 from hyperval.padic import (
     count_roots_mod_p,
     digit_frequency,
@@ -45,21 +44,15 @@ def count_roots_oracle(coeffs, p):
 
 class TestReduceModP:
     def test_coefficients(self):
-        fp = reduce_mod_p(X * X - RatPoly([2]), 7)
-        assert fp.coeffs == (5, 0, 1)
-        assert fp(3) == 0 and fp(1) == 6
+        assert reduce_mod_p(X * X - RatPoly([2]), 7) == [5, 0, 1]
 
     def test_rational_coefficients(self):
-        fp = reduce_mod_p(RatPoly([Fraction(1, 3)]) + X, 7)
-        assert fp.coeffs == (5, 1)  # 1/3 ≡ 5 (mod 7)
+        # 1/3 ≡ 5 (mod 7)
+        assert reduce_mod_p(RatPoly([Fraction(1, 3)]) + X, 7) == [5, 1]
 
     def test_denominator_divisible(self):
         with pytest.raises(BadPrime):
             reduce_mod_p(RatPoly([Fraction(1, 7)]), 7)
-
-    def test_composite_modulus(self):
-        with pytest.raises(BadPrime):
-            reduce_mod_p(X, 6)
 
 
 class TestCountRoots:

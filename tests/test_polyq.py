@@ -4,7 +4,6 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from hyperval.errors import UnsupportedFactorization
 from hyperval.polyq import (
     ONE,
     RatPoly,

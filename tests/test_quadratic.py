@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hyperval.errors import EmptySampleSet, UnsupportedFactorization
 from hyperval.hyperseq import make_sequence
-from hyperval.numtheory import factorize, legendre, sieve_primes, squarefree_part
+from hyperval.numtheory import factorize, legendre, sieve_primes
 from hyperval.polyq import RatPoly
 from hyperval.quadratic import (
     DiscriminantProfile,
