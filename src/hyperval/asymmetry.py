@@ -346,10 +346,11 @@ def slope_fit(seq: HypergeomSeq, p: int, n_max: int) -> SlopeFit:
     denom = k * sxx - sx * sx
     slope = Fraction(k * sxy - sx * sy, denom)
     intercept = Fraction(sy - slope * sx, k)
-    dev = max(
-        abs(v - slope * n) / math.log(n) for n, v in samples
-    )
-    return SlopeFit(slope, intercept, float(dev), (lo, hi))
+    # |v − slope·n| as the integer pair |v·Q − P·n|/Q: int true division
+    # rounds correctly, so this is the float of the Fraction, bit for bit
+    P, Q = slope.numerator, slope.denominator
+    dev = max(abs(v * Q - P * n) / Q / math.log(n) for n, v in samples)
+    return SlopeFit(slope, intercept, dev, (lo, hi))
 
 
 # -- quadratic class-D criterion ----------------------------------------

@@ -28,8 +28,9 @@ from .numtheory import (
     INFINITY,
     Rational,
     Valuation,
+    fraction_valuation,
     int_valuation,
-    padic_valuation,
+    reduced_fraction,
     require_prime,
 )
 from .padic import is_squarefree_mod_p, reduce_mod_p
@@ -178,7 +179,7 @@ class TermCursor:
 
     @property
     def value(self) -> Fraction:
-        return Fraction(self.num, self.den)
+        return reduced_fraction(self.num, self.den)
 
     def advance(self) -> int:
         """Step to the next index; returns the new n."""
@@ -231,7 +232,7 @@ def valuations(seq: HypergeomSeq, p: int) -> Iterator[Valuation]:
     require_prime(p)
     A, B = step_polys(seq)
     if seq.u0 != 0:
-        v = padic_valuation(seq.u0, p)
+        v = fraction_valuation(seq.u0, p)
         m = 0
         while True:
             yield v

@@ -30,7 +30,7 @@ from .asymmetry import (
 )
 from .errors import HypervalError, NotHenselPrime, UnsupportedInput
 from .hyperseq import HypergeomSeq, TermCursor, step_polys, term
-from .numtheory import Rational, int_valuation, padic_valuation
+from .numtheory import Rational, fraction_valuation, int_valuation
 from .polyq import int_eval
 
 # filter moduli: two Mersenne primes; a congruence that holds for equal
@@ -155,7 +155,7 @@ def decide(seq: HypergeomSeq, t: Union[Rational, int],
         )
 
     envelope = certified_envelope(cert, seq)
-    vt = abs(int(padic_valuation(t, cert.p)))
+    vt = abs(int(fraction_valuation(t, cert.p)))  # cert.p is a checked prime
     try:
         n0 = envelope.bound_index(vt, max_n=config.term_cap)
     except UnsupportedInput as exc:

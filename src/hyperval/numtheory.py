@@ -264,10 +264,14 @@ def squarefree_part(r: Rational | int) -> int:
 
 
 def padic_valuation(r: Rational | int, p: int) -> Valuation:
-    """nu_p(r): exponent of p in r, INFINITY for r = 0."""
-    if p < 2:
-        raise ValueError(f"valuation needs p >= 2, got {p}")
-    r = Fraction(r)
+    """nu_p(r): exponent of the prime p in r, INFINITY for r = 0."""
+    require_prime(p)
+    return fraction_valuation(Fraction(r), p)
+
+
+def fraction_valuation(r: Fraction, p: int) -> Valuation:
+    """nu_p(r) of a Fraction r, INFINITY for r = 0; p prime, not
+    re-tested."""
     if r == 0:
         return INFINITY
     return int_valuation(r.numerator, p) - int_valuation(r.denominator, p)
@@ -282,6 +286,15 @@ def int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def reduced_fraction(num: int, den: int) -> Fraction:
+    """The Fraction num/den from a pair already in lowest terms with
+    den > 0, built without Fraction's gcd; the pair is not re-checked."""
+    r = object.__new__(Fraction)
+    r._numerator = num
+    r._denominator = den
+    return r
 
 
 def mod_rep(r: Rational | int, p: int) -> int:

@@ -21,7 +21,7 @@ from .errors import (
     NotSimpleRoot,
     PrecisionExhausted,
 )
-from .numtheory import mod_rep, padic_valuation, require_prime
+from .numtheory import fraction_valuation, mod_rep, require_prime
 from .polyq import RatPoly, poly_gcd
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -108,7 +108,8 @@ def is_squarefree_mod_p(h: list[int], p: int) -> bool:
 class PadicRoot:
     """A root of a polynomial to precision k: value in [0, p^k).
 
-    Immutable; ``lift_to`` re-runs the lift and returns a new value.
+    Immutable; ``lift_to`` continues Newton's iteration from this value
+    and precision and returns a new root.
     """
 
     p: int
@@ -133,7 +134,9 @@ class PadicRoot:
     def lift_to(self, k: int) -> "PadicRoot":
         if k <= self.precision:
             return self.truncate(k)
-        return hensel_lift(self._source, self.p, self.value % self.p, k)
+        F, _ = self._source.to_integer()
+        return _newton_root(self._source, F, self.p, self.value,
+                            self.precision, k, self.digits)
 
     def digit_text(self) -> str:
         """Digits as text, least-significant first, one per token."""
@@ -167,22 +170,30 @@ def hensel_lift(f: RatPoly, p: int, r0: int, k: int) -> PadicRoot:
         )
     if k < 1:
         raise ValueError(f"precision must be >= 1, got {k}")
-    prec = 1
-    r = r0
+    return _newton_root(f, F, p, r0, 1, k, ())
+
+
+def _newton_root(f: RatPoly, F: list[int], p: int, r: int, prec: int,
+                 k: int, digits: tuple[int, ...]) -> PadicRoot:
+    """Lift the simple root r of the integer form F of f from mod p^prec
+    to mod p^k (k ≥ prec) by Newton's iteration with doubling precision;
+    digits are r's first prec digits.  p is prime and r simple, neither
+    re-tested; f(value) ≡ 0 (mod p^k) is asserted before returning."""
+    Fd = [i * c for i, c in enumerate(F)][1:]
+    value = r
     while prec < k:
         prec = min(2 * prec, k)
         mod = p**prec
-        fr = _fp.eval_at(F, r, mod)
-        fdr = _fp.eval_at(Fd, r, mod)
-        r = (r - fr * pow(fdr, -1, mod)) % mod
-    mod = p**k
-    assert _fp.eval_at(F, r, mod) == 0
-    digits = []
-    v = r
-    for _ in range(k):
+        fr = _fp.eval_at(F, value, mod)
+        fdr = _fp.eval_at(Fd, value, mod)
+        value = (value - fr * pow(fdr, -1, mod)) % mod
+    assert _fp.eval_at(F, value, p**k) == 0
+    new_digits = []
+    v = value // p**len(digits)
+    for _ in range(k - len(digits)):
         v, d = divmod(v, p)
-        digits.append(d)
-    return PadicRoot(p, k, r, tuple(digits), f)
+        new_digits.append(d)
+    return PadicRoot(p, k, value, digits + tuple(new_digits), f)
 
 
 def zero_run_length(root: PadicRoot, s: int,
@@ -307,7 +318,7 @@ def valuation_at_prime_power(
         raise ValueError(
             f"digit identity needs equal root counts; got {mf} vs {mg}"
         )
-    v0 = padic_valuation(seq.u0, p)
+    v0 = fraction_valuation(seq.u0, p)  # usable_prime checked p
     if not include_u0 and v0 != 0:
         raise ValueError(
             "u0 must be a p-adic unit (or pass include_u0=True)"

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import islice
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import EmptySampleSet, UnsupportedFactorization
@@ -260,32 +262,61 @@ def _collect_samples(
     """(rep, p) pairs for both signs over qualifying primes + skip count."""
     out: list[tuple[int, int]] = []
     skipped = 0
-    r_den = Fraction(r).denominator
-    s_den = Fraction(s).denominator
+    r, s = Fraction(r), Fraction(s)
+    rn, rd = r.numerator, r.denominator
+    sn, sd = s.numerator, s.denominator
     for p in primes:  # sieved: the kernels need no primality check
         if p == 2 or euler_criterion(delta, p) != 1:
             continue
-        if r_den % p == 0 or s_den % p == 0:
+        if rd % p == 0 or sd % p == 0:
             skipped += 1
             continue
         d_root = tonelli_shanks(delta % p, p)
-        base = mod_rep(r, p)
-        offs = mod_rep(s, p) * d_root
+        base = rn * pow(rd, -1, p) % p
+        offs = sn * pow(sd, -1, p) % p * d_root
         out.append(((base + offs) % p, p))
         out.append(((base - offs) % p, p))
     return out, skipped
 
 
-def star_discrepancy(points: Sequence[Fraction]) -> Fraction:
-    """Exact D* of points in [0,1): sup over [0,t) boxes, via sorting."""
-    xs = sorted(points)
-    n = len(xs)
+def _cross_cmp(x: tuple[int, int], y: tuple[int, int]) -> int:
+    """The sign of a/b − c/d for x = (a, b), y = (c, d) with b, d > 0."""
+    lhs, rhs = x[0] * y[1], y[0] * x[1]
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def star_discrepancy(points: Sequence[tuple[int, int]]) -> Fraction:
+    """Exact D* of the points a/b in [0,1), given as integer pairs (a, b).
+
+    The sup over [0,t) boxes is attained at a sorted point, so sort and
+    take max(i/n − a/b, a/b − (i−1)/n).  The sort key is the float a/b:
+    int true division rounds correctly, hence monotonically, so it can
+    tie two distinct points but never invert them.  Neighbours are then
+    checked by cross-multiplication, and only a failed check re-sorts
+    with the exact comparator; no float decides the order.  The sup is
+    kept as one integer pair num/(n·den).
+    """
+    n = len(points)
     if n == 0:
         raise ValueError("no points")
-    best = Fraction(0)
-    for i, xv in enumerate(xs, start=1):
-        best = max(best, Fraction(i, n) - xv, xv - Fraction(i - 1, n))
-    return best
+    for a, b in points:
+        if b <= 0:
+            raise ValueError(f"point {a}/{b}: denominator must be positive")
+        if not 0 <= a < b:
+            raise ValueError(f"point {a}/{b} lies outside [0, 1)")
+    xs = sorted(points, key=lambda ab: ab[0] / ab[1])
+    for (a, b), (c, d) in zip(xs, islice(xs, 1, None)):
+        if a * d > c * b:
+            xs.sort(key=cmp_to_key(_cross_cmp))
+            break
+    best_num, best_den = 0, 1
+    for i, (a, b) in enumerate(xs, start=1):
+        # i/n − a/b and a/b − (i−1)/n share the denominator n·b
+        an = a * n
+        num = max(i * b - an, an - (i - 1) * b)
+        if num * best_den > best_num * b:
+            best_num, best_den = num, b
+    return Fraction(best_num, n * best_den)
 
 
 def equidistribution_sample(
@@ -324,7 +355,6 @@ def equidistribution_sample(
         (Fraction(i, bin_count), Fraction(i + 1, bin_count), counts[i] / k)
         for i in range(bin_count)
     )
-    disc = star_discrepancy([Fraction(rep, p) for rep, p in samples])
     return EquidistributionReport(
         delta=delta,
         progression=(a % q, q),
@@ -332,7 +362,7 @@ def equidistribution_sample(
         samples=k,
         skipped_undefined=skipped,
         bins=bins,
-        star_discrepancy=float(disc),
+        star_discrepancy=float(star_discrepancy(samples)),
     )
 
 
@@ -359,7 +389,9 @@ def window_count(
     hi = int(N * (1 + window_delta))
     primes = [p for p in primes_in_progression(a, q, hi - 1) if p >= N]
     samples, _ = _collect_samples(primes, delta, r, s)
-    hits = {p for rep, p in samples if al <= Fraction(rep, p) < be}
+    an, ad = al.numerator, al.denominator
+    bn, bd = be.numerator, be.denominator
+    hits = {p for rep, p in samples if an * p <= rep * ad and rep * bd < bn * p}
     return len(hits)
 
 

@@ -1,5 +1,6 @@
 """Tests for asymmetric primes, certificates, and the valuation envelope."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from hyperval.asymmetry import (
     AsymmetryCertificate,
+    SlopeFit,
     certified_envelope,
     class_d_quadratic_check,
     find_asymmetric_prime,
@@ -26,7 +28,7 @@ from hyperval.errors import (
     UnsupportedInput,
 )
 from hyperval.hyperseq import make_sequence, valuation_profile
-from hyperval.numtheory import legendre, sieve_primes
+from hyperval.numtheory import INFINITY, legendre, sieve_primes
 from hyperval.polyq import RatPoly
 
 X = RatPoly([0, 1])
@@ -348,6 +350,35 @@ class TestSlopeFit:
     def test_window_too_small(self, factorial):
         with pytest.raises(ValueError):
             slope_fit(factorial, 2, 2)
+
+    @pytest.mark.parametrize("name", (
+        "factorial", "telescoping", "sq_pair", "class_c_seq", "geometric",
+        "twin_field", "catalan", "eventually_zero", "fractional_coeffs",
+        "double_root", "sym_pair", "mixed_degree"))
+    def test_equals_the_fraction_expression(self, name, request):
+        # the deviation is computed on integer pairs; it must be the same
+        # float as the Fraction expression, bit for bit
+        seq = request.getfixturevalue(name)
+        for p in (2, 5):
+            for n_max in (10, 333, 2001):
+                lo = n_max // 2
+                vals = valuation_profile(seq, p, n_max)[lo:]
+                if INFINITY in vals:
+                    with pytest.raises(ValueError, match="eventually zero"):
+                        slope_fit(seq, p, n_max)
+                    continue
+                samples = list(enumerate(vals, lo))
+                k = len(samples)
+                sx = sum(n for n, _ in samples)
+                sy = sum(vals)
+                slope = Fraction(
+                    k * sum(n * v for n, v in samples) - sx * sy,
+                    k * sum(n * n for n, _ in samples) - sx * sx)
+                dev = max(abs(v - slope * n) / math.log(n)
+                          for n, v in samples)
+                assert slope_fit(seq, p, n_max) == SlopeFit(
+                    slope, Fraction(sy - slope * sx, k), float(dev),
+                    (lo, n_max))
 
 
 class TestClassDQuadraticCheck:

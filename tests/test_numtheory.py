@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hyperval.errors import BadPrime, NonResidue
 from hyperval.numtheory import (
@@ -15,6 +15,7 @@ from hyperval.numtheory import (
     mod_rep,
     padic_valuation,
     primes_in_progression,
+    reduced_fraction,
     sieve_primes,
     sqrt_mod,
     squarefree_part,
@@ -158,11 +159,63 @@ class TestPadicValuation:
             assert (padic_valuation(Fraction(a) * b, p)
                     == padic_valuation(a, p) + padic_valuation(b, p))
 
+    def test_composite_p_rejected(self):
+        # 8 = 4^1 · 2 as a plain integer base; 4 is no prime
+        for r, p in ((8, 4), (12, 6), (5, 1), (5, 0), (5, -2)):
+            with pytest.raises(BadPrime, match=f"^{p} is not prime$"):
+                padic_valuation(r, p)
+
     def test_int_valuation_of_zero_raises(self):
         # the valuation of 0 is infinite; the integer helper refuses it
         # instead of dividing 0 by p forever
         with pytest.raises(ValueError, match="infinite"):
             int_valuation(0, 7)
+
+
+BIG = 3 ** 200 * 7 ** 90 + 2  # odd, prime to 3 and 7
+
+
+class TestReducedFraction:
+    """The gcd-free constructor against Fraction(num, den)."""
+
+    PAIRS = [(0, 1), (1, 1), (-1, 1), (5, 7), (-5, 7), (7, 5), (-22, 1),
+             (BIG, 2 ** 301), (-BIG, 2 ** 301), (2 ** 301, BIG),
+             (-(2 ** 301), BIG), (BIG, 1), (1, BIG)]
+
+    @pytest.mark.parametrize("num,den", PAIRS)
+    def test_same_fraction(self, num, den):
+        fast, slow = reduced_fraction(num, den), Fraction(num, den)
+        assert type(fast) is Fraction
+        assert (fast.numerator, fast.denominator) == (num, den)
+        assert fast == slow and not fast != slow
+        assert hash(fast) == hash(slow)
+        assert str(fast) == str(slow) and repr(fast) == repr(slow)
+        assert {fast: 1}[slow] == 1
+        if den == 1:
+            assert fast == num and hash(fast) == hash(num)
+        for other in (Fraction(3, 4), Fraction(-BIG, 3), 2, slow):
+            assert fast + other == slow + other
+            assert fast - other == slow - other
+            assert fast * other == slow * other
+            if other:
+                assert fast / other == slow / other
+            assert (fast < other) == (slow < other)
+            assert (fast <= other) == (slow <= other)
+        assert -fast == -slow and abs(fast) == abs(slow)
+        assert float(fast) == float(slow)
+        if num:
+            assert 1 / fast == 1 / slow
+            assert fast ** -2 == slow ** -2
+
+    @settings(max_examples=200)
+    @given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
+    def test_random_reduced_pairs(self, num, den):
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        fast, slow = reduced_fraction(num, den), Fraction(num, den)
+        assert fast == slow and hash(fast) == hash(slow)
+        assert str(fast) == str(slow)
+        assert fast + Fraction(1, 3) == slow + Fraction(1, 3)
 
 
 class TestModRep:

@@ -18,7 +18,7 @@ from hyperval.padic import (
     valuation_at_prime_power,
     zero_run_length,
 )
-from hyperval.polyq import ONE, RatPoly, X
+from hyperval.polyq import ONE, RatPoly, X, poly_gcd
 
 
 def count_roots_oracle(coeffs, p):
@@ -132,6 +132,38 @@ class TestHenselLift:
         root = hensel_lift(X - RatPoly([Fraction(1, 3)]), 7, 5, 6)
         v = root.value
         assert (3 * v - 1) % 7**6 == 0
+
+
+FIXTURES = ("factorial", "telescoping", "sq_pair", "class_c_seq", "geometric",
+            "twin_field", "catalan", "eventually_zero", "fractional_coeffs",
+            "double_root", "sym_pair", "mixed_degree")
+
+
+class TestLiftTo:
+    """lift_to continues Newton's iteration; from-scratch lifts agree."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_continued_lifts_equal_scratch_lifts(self, name, request):
+        seq = request.getfixturevalue(name)
+        for poly in (seq.f, seq.g):
+            if poly.degree < 1:
+                continue
+            sqfree = (poly // poly_gcd(poly, poly.derivative())).monic()
+            for p in (3, 5, 7, 11):
+                if not is_hensel_prime(sqfree, p):
+                    continue
+                for a in roots_mod_p(sqfree, p):
+                    steps = hensel_lift(sqfree, p, a, 1)
+                    jumps = steps
+                    for k in range(2, 65):
+                        scratch = hensel_lift(sqfree, p, a, k)
+                        steps = steps.lift_to(k)
+                        assert steps == scratch
+                        assert steps.digits == scratch.digits
+                        if k in (3, 7, 20, 64):
+                            jumps = jumps.lift_to(k)
+                            assert jumps == scratch
+                    assert steps.lift_to(9) == hensel_lift(sqfree, p, a, 9)
 
 
 class TestZeroRun:

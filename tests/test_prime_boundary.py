@@ -27,13 +27,14 @@ from hyperval.hyperseq import (
     valuations,
 )
 from hyperval.membership import MembershipConfig, decide
-from hyperval.numtheory import legendre, sqrt_mod
+from hyperval.numtheory import legendre, padic_valuation, sqrt_mod
 from hyperval.padic import (
     count_roots_mod_p,
     hensel_lift,
     is_hensel_prime,
     roots_mod_p,
     valuation_at_prime_power,
+    zero_run_length,
 )
 from hyperval.polyq import RatPoly, X
 from hyperval.quadratic import (
@@ -50,6 +51,7 @@ X2M2 = X * X - RatPoly([2])
 # every public function that takes a caller's p, applied to (seq, p)
 PUBLIC = {
     "legendre": lambda seq, p: legendre(3, p),
+    "padic_valuation": lambda seq, p: padic_valuation(8, p),
     "sqrt_mod": lambda seq, p: sqrt_mod(2, p),
     "rep_quadratic": lambda seq, p: rep_quadratic(1, 1, 2, p),
     "count_roots_mod_p": lambda seq, p: count_roots_mod_p(X2M2, p),
@@ -130,4 +132,12 @@ def test_one_primality_test_per_gated_prime(name, request, prime_tests,
 
 def test_usable_prime_tests_once(sq_pair, prime_tests):
     assert usable_prime(sq_pair, 7)
+    assert prime_tests == [7]
+
+
+def test_zero_run_lifts_without_retesting_p(prime_tests):
+    # the run of 29 zeros in 1 + 7^30 needs four deeper lifts; each one
+    # continues Newton's iteration from the root's own precision
+    root = hensel_lift(X - RatPoly([1 + 7 ** 30]), 7, 1, 2)
+    assert zero_run_length(root, 1) == 29
     assert prime_tests == [7]

@@ -1,6 +1,7 @@
 """Tests for discriminant profiles, condition primes, and equidistribution."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -212,16 +213,31 @@ class TestRepQuadratic:
         assert val % p == 0
 
 
+def fraction_dstar(pairs):
+    """D* by the sorted-Fraction formula, the kernel's exact slow path."""
+    xs = sorted(Fraction(a, b) for a, b in pairs)
+    n = len(xs)
+    return max(
+        max(Fraction(i, n) - x, x - Fraction(i - 1, n))
+        for i, x in enumerate(xs, start=1)
+    )
+
+
 class TestStarDiscrepancy:
     def test_frozen(self):
-        assert star_discrepancy([Fraction(1, 2)]) == Fraction(1, 2)
-        assert star_discrepancy(
-            [Fraction(1, 4), Fraction(3, 4)]) == Fraction(1, 4)
-        assert star_discrepancy([Fraction(0)]) == 1
+        assert star_discrepancy([(1, 2)]) == Fraction(1, 2)
+        assert star_discrepancy([(1, 4), (3, 4)]) == Fraction(1, 4)
+        assert star_discrepancy([(0, 1)]) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             star_discrepancy([])
+
+    @pytest.mark.parametrize("bad", [(1, 0), (0, 0), (-1, -2), (1, -2),
+                                     (-1, 5), (5, 5), (7, 5)])
+    def test_bad_points_rejected(self, bad):
+        with pytest.raises(ValueError):
+            star_discrepancy([(1, 3), bad])
 
     @settings(deadline=None, max_examples=80)
     @given(st.lists(st.fractions(min_value=0, max_value=Fraction(99, 100)),
@@ -229,7 +245,8 @@ class TestStarDiscrepancy:
     def test_dominates_every_anchored_box(self, points):
         # Independent route: measure |#{x < t}/n - t| on a probe grid of
         # the points themselves and nearby cuts; all must sit under D*.
-        dstar = star_discrepancy(points)
+        dstar = star_discrepancy([(x.numerator, x.denominator)
+                                  for x in points])
         n = len(points)
         probes = set(points)
         probes.update(min(x + Fraction(1, 10 ** 9), Fraction(1))
@@ -246,6 +263,31 @@ class TestStarDiscrepancy:
             for i, x in enumerate(sorted(points), start=1)
         )
         assert attained == dstar
+
+    @settings(deadline=None, max_examples=120)
+    @given(st.lists(
+        st.integers(1, 2 ** 70).flatmap(
+            lambda b: st.tuples(st.integers(0, b - 1), st.just(b))),
+        min_size=1, max_size=30))
+    def test_equals_the_sorted_fraction_formula(self, pairs):
+        # unreduced pairs and repeated points included
+        assert star_discrepancy(pairs) == fraction_dstar(pairs)
+
+    def test_equal_floats_force_the_exact_sort(self):
+        # two distinct points whose float quotients coincide, listed in
+        # the wrong exact order: a float-only sort keeps them there
+        b1, b2 = 2 ** 61 + 1, 2 ** 61 + 2
+        hi, lo = (b1 // 3, b1), (b2 // 3, b2)
+        assert hi[0] / hi[1] == lo[0] / lo[1]
+        assert Fraction(*hi) > Fraction(*lo)
+        pairs = [hi, lo, (1, 7)]
+        n = len(pairs)
+        by_float = sorted(pairs, key=lambda ab: ab[0] / ab[1])
+        float_only = max(
+            max(Fraction(i, n) - Fraction(*x), Fraction(*x) - Fraction(i - 1, n))
+            for i, x in enumerate(by_float, start=1)
+        )
+        assert star_discrepancy(pairs) == fraction_dstar(pairs) != float_only
 
 
 class TestEquidistributionSample:
@@ -292,6 +334,28 @@ class TestEquidistributionSample:
             "skipped=0 star_discrepancy=0.011"
         )
 
+    @pytest.mark.parametrize("case,samples,skipped,counts,dstar", [
+        ((3, 5, 2, Fraction(-18), Fraction(-19, 8), 60000), 1524, 0,
+         (151, 145, 171, 134, 159, 165, 132, 175, 139, 153),
+         0.011819497033914765),
+        ((10, 4, 3, Fraction(-2, 3), Fraction(2), 60000), 3048, 1,
+         (285, 289, 302, 300, 315, 298, 288, 321, 334, 316),
+         0.023315895716506097),
+        ((3, 3, 2, Fraction(5, 4), Fraction(20, 11), 5000), 332, 1,
+         (30, 34, 48, 33, 30, 42, 26, 21, 25, 43),
+         0.06352138177015185),
+    ])
+    def test_frozen_seeded_reports(self, case, samples, skipped, counts,
+                                   dstar):
+        # (delta, q, a, r, s, p_limit) drawn from random.Random(6)
+        rep = equidistribution_sample(*case)
+        assert rep.samples == samples
+        assert rep.skipped_undefined == skipped
+        assert rep.bins == tuple(
+            (Fraction(i, 10), Fraction(i + 1, 10), c / samples)
+            for i, c in enumerate(counts))
+        assert rep.star_discrepancy == dstar
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             equidistribution_sample(8, p_limit=1000)  # not square-free
@@ -323,6 +387,30 @@ class TestWindowCount:
     def test_narrow_window_frozen(self):
         assert window_count(
             2, 1, 0, 0, 1, 1000, 0.5, Fraction(1, 4), Fraction(5, 16)) == 6
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_a_fraction_comparison_count(self, seed):
+        rng = random.Random(seed)
+        delta = rng.choice([2, 3, 5, 6, 7, 10])
+        q = rng.choice([1, 3, 4])
+        a = rng.choice([x for x in range(q) if math.gcd(x, q) == 1])
+        r = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        N = rng.randint(500, 5000)
+        alpha = rng.choice([0, rng.random() / 2, Fraction(rng.randint(0, 4), 9)])
+        beta = rng.choice([1, 0.5 + rng.random() / 2,
+                           Fraction(rng.randint(5, 9), 9)])
+        al, be = Fraction(alpha), Fraction(beta)
+        hits = set()
+        for p in sieve_primes(int(N * 1.5) - 1):
+            if p < N or p % q != a or p == 2 or legendre(delta, p) != 1:
+                continue
+            if r.denominator % p == 0 or s.denominator % p == 0:
+                continue
+            for sign in (1, -1):
+                if al <= Fraction(rep_quadratic(r, s, delta, p, sign), p) < be:
+                    hits.add(p)
+        assert window_count(delta, q, a, r, s, N, 0.5, alpha, beta) == len(hits)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
