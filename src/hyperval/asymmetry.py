@@ -23,11 +23,11 @@ from .hyperseq import HypergeomSeq, usable_prime, valuations
 from .numtheory import (
     INFINITY,
     Rational,
+    iter_primes,
     require_prime,
-    sieve_primes,
     squarefree_part,
 )
-from .padic import count_roots_mod_p, frobenius_root_count, reduce_mod_p
+from .padic import count_roots_mod_p
 from .polyq import discriminant_quadratic, factor
 
 
@@ -169,19 +169,19 @@ def scan_primes(
     The outcome is "excluded" (p divides u₀ or a value in coprime_with),
     "unusable" (p fails the trust gate), "symmetric" (equal root
     counts), or the certificate at p.  This is the one prime-scan loop;
-    it raises nothing per prime, and usable_prime is its one primality
-    check per prime.
+    it raises nothing per prime and tests no primality: the primes come
+    from iter_primes, and the gate and the root counts from the
+    sequence's RootPlan, which agree with usable_prime and
+    count_roots_mod_p at every prime.
     """
-    for p in sieve_primes(p_max):
-        if p < p_min:
-            continue
+    plan = seq.root_plan()
+    for p in iter_primes(p_min, p_max):
         if _exclusion(seq, p, coprime_with) is not None:
             yield p, "excluded"
-        elif not usable_prime(seq, p):
+        elif plan.gate % p == 0:
             yield p, "unusable"
         else:
-            m_f = frobenius_root_count(reduce_mod_p(seq.f, p), p)
-            m_g = frobenius_root_count(reduce_mod_p(seq.g, p), p)
+            m_f, m_g = plan.root_counts(p)
             yield p, ("symmetric" if m_f == m_g
                       else _certificate(seq, p, m_f, m_g))
 

@@ -28,16 +28,20 @@ from .numtheory import (
     INFINITY,
     Rational,
     Valuation,
+    euler_criterion,
     fraction_valuation,
     int_valuation,
     reduced_fraction,
     require_prime,
 )
-from .padic import is_squarefree_mod_p, reduce_mod_p
+from .padic import frobenius_root_count, is_squarefree_mod_p, reduce_mod_p
 from .polyq import (
     RatPoly,
     RationalFunction,
+    _yun,
+    discriminant_quadratic,
     factor,
+    int_discriminant,
     int_eval,
     poly_gcd,
     positive_integer_roots,
@@ -61,7 +65,8 @@ class ValidationFlags:
 class HypergeomSeq:
     """Validated recurrence f(n)·uₙ = g(n)·uₙ₋₁ with u₀."""
 
-    __slots__ = ("f", "g", "u0", "flags", "_int_forms", "_radical_fg")
+    __slots__ = ("f", "g", "u0", "flags", "_int_forms", "_root_plan",
+                 "_radical_fg")
 
     def __init__(self, f: RatPoly, g: RatPoly, u0: Fraction,
                  flags: ValidationFlags):
@@ -70,6 +75,7 @@ class HypergeomSeq:
         self.u0 = u0
         self.flags = flags
         self._int_forms: Optional[tuple[list[int], int, list[int], int]] = None
+        self._root_plan: Optional[RootPlan] = None
         self._radical_fg: Optional[RatPoly] = None
 
     @property
@@ -83,6 +89,13 @@ class HypergeomSeq:
             G, DG = self.g.to_integer()
             self._int_forms = (F, DF, G, DG)
         return self._int_forms
+
+    def root_plan(self) -> "RootPlan":
+        """The gate and the root counts of the prime scan, built on the
+        first scan and kept."""
+        if self._root_plan is None:
+            self._root_plan = _root_plan(self)
+        return self._root_plan
 
     @property
     def radical_fg(self) -> RatPoly:
@@ -146,6 +159,69 @@ def usable_prime(seq: HypergeomSeq, p: int) -> bool:
     # polynomial, so (Gauss's lemma) its monic radical is p-integral:
     # of is_hensel_prime's tests only square-freeness is left to make
     return is_squarefree_mod_p(reduce_mod_p(seq.radical_fg, p), p)
+
+
+@dataclass(frozen=True)
+class RootPlan:
+    """usable_prime and the root counts of f and g, per prime, without
+    polynomial arithmetic.
+
+    gate: usable_prime(seq, p) holds exactly when p does not divide it.
+    f_parts, g_parts: the square-free parts of f and g from Yun's
+    decomposition, as (monic part, multiplicity e, D), where D is an
+    integer in the square class of a quadratic part's discriminant and
+    None for any other degree.
+    """
+
+    gate: int
+    f_parts: tuple
+    g_parts: tuple
+
+    def root_counts(self, p: int) -> tuple[int, int]:
+        """(m_f, m_g) at a prime p that passes the gate; p not re-tested."""
+        return (_roots_of_parts(self.f_parts, p),
+                _roots_of_parts(self.g_parts, p))
+
+
+def _roots_of_parts(parts: tuple, p: int) -> int:
+    # past the gate the monic radical of f·g is square-free mod p, so the
+    # parts stay square-free and pairwise coprime mod p: each root of a
+    # part is a root of multiplicity exactly e.  A quadratic part's
+    # discriminant is then a p-unit, and it has 1 + (D/p) roots at odd p.
+    total = 0
+    for part, e, disc in parts:
+        if part.degree == 1:
+            total += e
+        elif disc is not None and p != 2:
+            total += e * (1 + euler_criterion(disc, p))
+        else:
+            total += e * frobenius_root_count(reduce_mod_p(part, p), p)
+    return total
+
+
+def _root_plan(seq: HypergeomSeq) -> RootPlan:
+    """The plan of seq.  The gate is N = lcm(coefficient denominators) ·
+    numerator(lc f) · numerator(lc g) · disc(R), R the integer form of
+    the monic radical of f·g (primitive, since the radical is monic):
+    a prime off the first three factors leaves the radical p-integral
+    and monic, and it is square-free mod p iff p ∤ disc(R)."""
+    f, g = seq.f, seq.g
+    den = math.lcm(*(c.denominator for c in f.coeffs + g.coeffs))
+    R, _ = seq.radical_fg.to_integer()
+    disc = int_discriminant(R) if len(R) > 2 else 1
+    gate = abs(den * f.leading.numerator * g.leading.numerator * disc)
+    return RootPlan(gate, _square_free_parts(f), _square_free_parts(g))
+
+
+def _square_free_parts(poly: RatPoly) -> tuple:
+    parts = []
+    for part, e in _yun(poly.monic()):
+        disc = None
+        if part.degree == 2:
+            d = discriminant_quadratic(part)
+            disc = d.numerator * d.denominator
+        parts.append((part, e, disc))
+    return tuple(parts)
 
 
 def step_polys(seq: HypergeomSeq) -> tuple[list[int], list[int]]:

@@ -125,7 +125,9 @@ def _best_certificate(
         scan = find_asymmetric_prime(seq, 2, config.prime_cap, (t,), passed)
         raise UnsupportedInput("no usable asymmetric prime below the cap; "
                                + scan.summary())
-    return best
+    # the scan's root-count plan only chooses the prime; the verdict
+    # rests on the certificate from the checked single-prime entry
+    return make_certificate(seq, best.p, coprime_with=(t,))
 
 
 def decide(seq: HypergeomSeq, t: Union[Rational, int],

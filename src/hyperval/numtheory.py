@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from itertools import compress
+from typing import Iterator, Union
 
 from .errors import BadPrime, NonResidue
 
@@ -300,7 +301,8 @@ def reduced_fraction(num: int, den: int) -> Fraction:
 def mod_rep(r: Rational | int, p: int) -> int:
     """The representative of r in {0, ..., p-1}; requires p prime to the
     denominator of r."""
-    r = Fraction(r)
+    if not isinstance(r, (int, Fraction)):  # both are in lowest terms
+        r = Fraction(r)
     if r.denominator % p == 0:
         raise BadPrime(f"denominator of {r} is divisible by {p}")
     return r.numerator * pow(r.denominator, -1, p) % p
@@ -334,7 +336,22 @@ def sieve_primes(limit: int) -> list[int]:
     for i in range(2, math.isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i, f in enumerate(flags) if f]
+    return list(compress(range(limit + 1), flags))
+
+
+def iter_primes(lo: int, hi: int) -> Iterator[int]:
+    """The primes in [lo, hi], ascending, sieved lazily in segments that
+    double in length: a caller that stops at p has sieved up to about 2p,
+    not up to hi."""
+    lo = max(lo, 2)
+    while lo <= hi:
+        end = min(hi + 1, max(2 * lo, lo + 64))  # this segment is [lo, end)
+        flags = bytearray([1]) * (end - lo)
+        for q in sieve_primes(math.isqrt(end - 1)):
+            start = max(q * q, -(-lo // q) * q) - lo
+            flags[start::q] = bytes(len(range(start, end - lo, q)))
+        yield from compress(range(lo, end), flags)
+        lo = end
 
 
 def primes_in_progression(a: int, q: int, limit: int) -> list[int]:

@@ -621,6 +621,38 @@ def discriminant_quadratic(p: RatPoly) -> Fraction:
     return b * b - 4 * a * c
 
 
+def int_discriminant(c: list[int]) -> int:
+    """Discriminant of the integer polynomial c (little-endian, nonzero
+    leading coefficient), fraction-free: (-1)^(n(n-1)/2)·res(c, c')/lc.
+
+    The resultant is the determinant of the Sylvester matrix, by
+    Bareiss elimination, so every division is exact.  Degree 1 gives 1
+    and degree 0 gives 0 (the resultant with a zero derivative).
+    """
+    n = len(c) - 1
+    if n < 1:
+        return 0
+    d = [i * a for i, a in enumerate(c)][1:]
+    # Sylvester matrix: n - 1 shifted rows of c, then n rows of c'
+    size = 2 * n - 1
+    m = [[0] * i + c[::-1] + [0] * (size - n - 1 - i) for i in range(n - 1)]
+    m += [[0] * i + d[::-1] + [0] * (size - n - i) for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    res = sign * m[-1][-1]
+    return (-1) ** (n * (n - 1) // 2) * res // c[-1]
+
+
 def shift_equivalent(h: RatPoly, h2: RatPoly) -> Optional[int]:
     """The integer d with h(x) = h2(x + d), or None.
 

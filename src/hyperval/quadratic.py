@@ -23,10 +23,10 @@ from .numtheory import (
     Rational,
     euler_criterion,
     factorize,
+    iter_primes,
     mod_rep,
     primes_in_progression,
     require_prime,
-    sieve_primes,
     sqrt_mod,
     squarefree_part,
     tonelli_shanks,
@@ -194,8 +194,8 @@ def find_condition_prime(
         )
     others = sorted(profile.discs - {delta})
     tested = 0
-    for p in sieve_primes(p_max):
-        if p == 2 or any(abs(d) % p == 0 for d in profile.discs):
+    for p in iter_primes(3, p_max):
+        if any(abs(d) % p == 0 for d in profile.discs):
             continue
         tested += 1
         if euler_criterion(delta, p) != 1:

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperval.asymmetry import (
@@ -27,8 +27,9 @@ from hyperval.errors import (
     UnsupportedFactorization,
     UnsupportedInput,
 )
-from hyperval.hyperseq import make_sequence, valuation_profile
+from hyperval.hyperseq import make_sequence, usable_prime, valuation_profile
 from hyperval.numtheory import INFINITY, legendre, sieve_primes
+from hyperval.padic import count_roots_mod_p, frobenius_root_count, reduce_mod_p
 from hyperval.polyq import RatPoly
 
 X = RatPoly([0, 1])
@@ -245,6 +246,86 @@ class TestScanOutcomes:
         for seq in _random_sequences(seed, 6):
             for coprime_with in _COPRIME:
                 self._check(seq, 2, 120, coprime_with)
+
+
+def _per_prime_body(seq, p, coprime_with):
+    """scan_primes' per-prime body before the root-count plan: the gate
+    by usable_prime, the counts by Frobenius on all of f and of g."""
+    if any(v != 0 and (v.numerator % p == 0 or v.denominator % p == 0)
+           for v in (seq.u0, *coprime_with)):
+        return "excluded"
+    if not usable_prime(seq, p):
+        return "unusable"
+    m_f = frobenius_root_count(reduce_mod_p(seq.f, p), p)
+    m_g = frobenius_root_count(reduce_mod_p(seq.g, p), p)
+    if m_f == m_g:
+        return "symmetric"
+    return make_certificate(seq, p, coprime_with)
+
+
+_PRIMES_600 = sieve_primes(600)
+_coef = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_lead = st.sampled_from((1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 4), 6))
+
+
+@st.composite
+def _plan_polys(draw):
+    """f or g of degree at most 5: a leading unit times a power of x
+    times powers of random linear, quadratic and cubic factors, or a
+    dense random polynomial."""
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(_coef, min_size=1, max_size=5))
+        return RatPoly(coeffs + [draw(_lead)])
+    poly = RatPoly([draw(_lead)]) * X ** draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        base = RatPoly(draw(st.lists(_coef, min_size=1, max_size=3)) + [1])
+        power = base ** draw(st.integers(1, 3))
+        if poly.degree + power.degree <= 5:
+            poly = poly * power
+    return poly
+
+
+class TestRootPlan:
+    """The plan's gate and counts against usable_prime and
+    count_roots_mod_p, and the scan against its old per-prime body, at
+    every prime up to 600."""
+
+    def _check(self, seq, coprime_with=()):
+        plan = seq.root_plan()
+        for p in _PRIMES_600:
+            usable = usable_prime(seq, p)
+            assert (plan.gate % p != 0) == usable, p
+            if usable:
+                assert plan.root_counts(p) == (count_roots_mod_p(seq.f, p),
+                                               count_roots_mod_p(seq.g, p)), p
+        assert list(scan_primes(seq, 2, 600, coprime_with)) == [
+            (p, _per_prime_body(seq, p, coprime_with)) for p in _PRIMES_600]
+
+    @pytest.mark.parametrize("name", _FIXTURES)
+    def test_fixtures(self, name, request):
+        self._check(request.getfixturevalue(name), (Fraction(7, 30),))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_plan_polys(), _plan_polys(),
+           st.fractions(min_value=-9, max_value=9, max_denominator=9))
+    def test_random_sequences(self, f, g, u0):
+        assume(u0 != 0)
+        try:
+            seq = make_sequence(f, g, u0)
+        except InvalidF:
+            assume(False)
+        self._check(seq)
+
+    def test_quadratic_at_two_and_cubic_parts(self):
+        # f = (x^2+x+2)·(x^3-x-1)^2, g = x^2+x+1: 2 is usable, so the
+        # quadratic parts go through Frobenius there; the cubic part
+        # always does
+        f = (X * X + X + RatPoly([2])) * (X ** 3 - X - ONE) ** 2
+        seq = make_sequence(f, X * X + X + ONE, Fraction(1))
+        assert usable_prime(seq, 2)
+        assert sorted((part.degree, e) for part, e, _
+                      in seq.root_plan().f_parts) == [(2, 1), (3, 2)]
+        self._check(seq)
 
 
 class TestEnvelope:

@@ -1,12 +1,13 @@
 """Tests for the membership decision procedure."""
 
 import math
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperval import asymmetry, membership
+from hyperval import asymmetry, membership, numtheory, padic, polyq
 from hyperval.asymmetry import find_asymmetric_prime, scan_primes
 from hyperval.hyperseq import make_sequence, term
 from hyperval.membership import MembershipConfig, decide, decide_batch
@@ -156,17 +157,18 @@ class TestUnsupported:
         assert v.reason == "p = 7 divides a required-coprime value"
 
     def test_empty_scan_runs_once(self, sym_pair, monkeypatch):
+        # the report replays the walk already made; the primes are walked once
         calls = []
-        sieve = asymmetry.sieve_primes
+        walk = asymmetry.iter_primes
 
-        def counted(limit):
-            calls.append(limit)
-            return sieve(limit)
+        def counted(lo, hi):
+            calls.append((lo, hi))
+            return walk(lo, hi)
 
-        monkeypatch.setattr(asymmetry, "sieve_primes", counted)
+        monkeypatch.setattr(asymmetry, "iter_primes", counted)
         v = decide(sym_pair, 5, SMALL)
         assert v.outcome == "unsupported"
-        assert calls == [SMALL.prime_cap]
+        assert calls == [(2, SMALL.prime_cap)]
 
     def test_empty_scan_reason(self, sym_pair):
         v = decide(sym_pair, 5, SMALL)
@@ -225,6 +227,48 @@ class TestCertificateSelection:
             v = decide(sq_pair, t, cfg)
             assert (v.outcome, v.witness, v.certificate.p) == ("yes", 7, fp)
             assert decide(sq_pair, t + 1, cfg).outcome == "no"
+
+
+def test_corpus_search_makes_no_polynomial_arithmetic(certified_corpus,
+                                                     monkeypatch):
+    # the scan's gate is one integer and the corpus has no square-free
+    # part of degree 3 or more, so the search makes no Frobenius count,
+    # primality test or factorization, the root-count plan's
+    # construction included; they run only inside the one make_certificate
+    # that rebuilds each verdict's certificate at the chosen prime
+    fresh = {name: make_sequence(s.f, s.g, s.u0)
+             for name, s in certified_corpus.items()}
+    targets = [(seq, t) for seq in fresh.values()
+               for t in (term(seq, 9), term(seq, 9) * Fraction(3, 2))]
+    calls, inside = [], []
+    for module, name in ((padic, "frobenius_root_count"),
+                         (numtheory, "is_prime"), (polyq, "factor"),
+                         (numtheory, "factorize")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append((_name, bool(inside)))
+            return _original(*args)
+
+        for key, mod in list(sys.modules.items()):
+            if key.split(".")[0] == "hyperval" and \
+                    getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    certify = membership.make_certificate
+
+    def certifying(*args, **kwargs):
+        inside.append(1)
+        try:
+            return certify(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(membership, "make_certificate", certifying)
+    verdicts = [decide(seq, t) for seq, t in targets]
+    assert [v.outcome for v in verdicts] == ["yes", "no"] * len(fresh)
+    assert all(v.certificate is not None for v in verdicts)
+    assert calls and all(within for _, within in calls)
+    assert {name for name, _ in calls} == {"frobenius_root_count", "is_prime"}
 
 
 class TestBatchAndRecords:

@@ -5,12 +5,14 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from hyperval import numtheory
 from hyperval.errors import BadPrime, NonResidue
 from hyperval.numtheory import (
     INFINITY,
     factorize,
     int_valuation,
     is_prime,
+    iter_primes,
     legendre,
     mod_rep,
     padic_valuation,
@@ -257,6 +259,29 @@ class TestPrimes:
         assert sieve_primes(1000) == list(sympy.primerange(2, 1001))
         assert sieve_primes(1) == []
         assert sieve_primes(2) == [2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-5, 3000), st.integers(-5, 3000))
+    def test_walker_equals_sieve(self, lo, hi):
+        assert list(iter_primes(lo, hi)) == [p for p in sieve_primes(hi)
+                                             if p >= lo]
+
+    def test_walker_on_long_ranges(self):
+        for lo, hi in ((2, 100_000), (65_000, 70_000), (10**6 - 200, 10**6)):
+            assert list(iter_primes(lo, hi)) == [p for p in sieve_primes(hi)
+                                                 if p >= lo]
+
+    def test_walker_sieves_lazily(self, monkeypatch):
+        # stopping at 10007 sieves segments up to about 2·10007, whose
+        # base primes stay below its square root
+        sieve = numtheory.sieve_primes
+
+        def bounded(limit):
+            assert limit <= 200
+            return sieve(limit)
+
+        monkeypatch.setattr(numtheory, "sieve_primes", bounded)
+        assert next(p for p in iter_primes(2, 10**12) if p > 10**4) == 10007
 
     def test_progression(self):
         got = primes_in_progression(1, 4, 100)

@@ -51,7 +51,8 @@ class TestReduceModP:
         assert reduce_mod_p(RatPoly([Fraction(1, 3)]) + X, 7) == [5, 1]
 
     def test_denominator_divisible(self):
-        with pytest.raises(BadPrime):
+        with pytest.raises(BadPrime,
+                           match="^denominator of 1/7 is divisible by 7$"):
             reduce_mod_p(RatPoly([Fraction(1, 7)]), 7)
 
 

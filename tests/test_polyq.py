@@ -11,6 +11,7 @@ from hyperval.polyq import (
     X,
     discriminant_quadratic,
     factor,
+    int_discriminant,
     nonnegative_integer_roots,
     poly_gcd,
     positive_integer_roots,
@@ -198,6 +199,31 @@ class TestDiscriminant:
     def test_requires_degree_two(self):
         with pytest.raises(ValueError):
             discriminant_quadratic(X)
+
+
+class TestIntDiscriminant:
+    """The fraction-free discriminant against sympy.discriminant."""
+
+    @staticmethod
+    def _sympy(c):
+        return sympy.discriminant(sympy.Poly(list(reversed(c)), x))
+
+    def test_low_degrees(self):
+        for c in ([5], [-3], [1, 1], [7, -4], [0, 6]):
+            assert int_discriminant(c) == self._sympy(c)
+        assert int_discriminant([5]) == 0 and int_discriminant([7, -4]) == 1
+
+    def test_non_primitive_and_repeated(self):
+        for c in ([6, 10, 4], [-12, 0, 18, 0, 6], [0, 0, 9, 3],
+                  [4, 4, 1], [-8, 12, -6, 1]):
+            assert int_discriminant(c) == self._sympy(c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-30, 30), max_size=7),
+           st.integers(-30, 30).filter(bool))
+    def test_matches_sympy(self, low, lead):
+        c = low + [lead]
+        assert int_discriminant(c) == self._sympy(c)
 
 
 class TestRadical:

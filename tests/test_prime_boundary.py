@@ -12,7 +12,6 @@ import pytest
 
 from hyperval import asymmetry, numtheory
 from hyperval.asymmetry import (
-    find_asymmetric_prime,
     is_p_symmetric,
     make_certificate,
     root_counts,
@@ -115,18 +114,16 @@ def test_condition_prime_search_makes_no_primality_test(prime_tests):
 
 @pytest.mark.parametrize("name", ("sq_pair", "sym_pair", "fractional_coeffs",
                                   "class_c_seq", "catalan"))
-def test_one_primality_test_per_gated_prime(name, request, prime_tests,
-                                            monkeypatch):
+def test_one_primality_test_per_gated_prime(name, request, prime_tests):
+    # the scan gates its sieved primes with the sequence's integer gate
+    # and tests none of them; usable_prime, the public gate, agrees with
+    # it on every prime and tests each prime once
     seq = request.getfixturevalue(name)
-    gated = []
-
-    def counting_gate(s, p):
-        gated.append(p)
-        return usable_prime(s, p)
-
-    monkeypatch.setattr(asymmetry, "usable_prime", counting_gate)
-    scan = find_asymmetric_prime(seq, 2, 3000)
-    assert len(gated) == scan.tested + scan.unusable
+    outcomes = list(asymmetry.scan_primes(seq, 2, 3000))
+    assert prime_tests == []
+    gated = [p for p, _ in outcomes]
+    assert [outcome == "unusable" for _, outcome in outcomes] \
+        == [not usable_prime(seq, p) for p in gated]
     assert prime_tests == gated
 
 
