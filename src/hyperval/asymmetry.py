@@ -15,11 +15,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
+from operator import mul, sub, truediv
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import NotHenselPrime, UnsupportedFactorization, UnsupportedInput
-from .hyperseq import HypergeomSeq, usable_prime, valuations
+from .hyperseq import HypergeomSeq, usable_prime, valuation_profile
 from .numtheory import (
     INFINITY,
     Rational,
@@ -175,15 +176,26 @@ def scan_primes(
     count_roots_mod_p at every prime.
     """
     plan = seq.root_plan()
-    for p in iter_primes(p_min, p_max):
-        if _exclusion(seq, p, coprime_with) is not None:
-            yield p, "excluded"
-        elif plan.gate % p == 0:
-            yield p, "unusable"
-        else:
-            m_f, m_g = plan.root_counts(p)
-            yield p, ("symmetric" if m_f == m_g
-                      else _certificate(seq, p, m_f, m_g))
+    # p divides u₀ or a value iff it divides their product; one gcd per
+    # block of primes replaces a % per prime on values that can run to
+    # thousands of digits.  Blocks double up to 256 primes, so a caller
+    # that stops early has tested few primes past its stop.
+    guarded = math.prod(abs(v.numerator) * v.denominator
+                        for v in (seq.u0, *coprime_with) if v != 0)
+    primes = iter_primes(p_min, p_max)
+    size = 8
+    while block := list(islice(primes, size)):
+        shared = math.gcd(guarded, math.prod(block))
+        for p in block:
+            if shared % p == 0:
+                yield p, "excluded"
+            elif plan.gate % p == 0:
+                yield p, "unusable"
+            else:
+                m_f, m_g = plan.root_counts(p)
+                yield p, ("symmetric" if m_f == m_g
+                          else _certificate(seq, p, m_f, m_g))
+        size = min(2 * size, 256)
 
 
 def find_asymmetric_prime(
@@ -328,28 +340,30 @@ class SlopeFit:
 def slope_fit(seq: HypergeomSeq, p: int, n_max: int) -> SlopeFit:
     """Fit ν_p(uₙ) ≈ slope·n over the top half of [0, n_max].
 
-    One pass of the valuations() stream; the least squares is exact
-    integer arithmetic.  The deviation statistic normalizes by log n,
-    matching the expected O(log n) wobble around the line.
+    The window comes from valuation_profile and the least squares is
+    exact integer arithmetic.  The deviation statistic normalizes by
+    log n, matching the expected O(log n) wobble around the line.
     """
     lo, hi = n_max // 2, n_max
     if lo < 2:
         raise ValueError("n_max too small for a slope window")
-    samples = list(enumerate(islice(valuations(seq, p), lo, hi + 1), lo))
-    if any(v is INFINITY for _, v in samples):
+    vs = valuation_profile(seq, p, hi)[lo:]
+    if vs[-1] is INFINITY:  # the INFINITY tail runs to the end
         raise ValueError("sequence is eventually zero; valuations are infinite")
-    k = len(samples)
-    sx = sum(n for n, _ in samples)
-    sy = sum(v for _, v in samples)
-    sxx = sum(n * n for n, _ in samples)
-    sxy = sum(n * v for n, v in samples)
+    ns = range(lo, hi + 1)
+    k = len(ns)
+    sx = sum(ns)
+    sy = sum(vs)
+    sxx = sum(map(mul, ns, ns))
+    sxy = sum(map(mul, ns, vs))
     denom = k * sxx - sx * sx
     slope = Fraction(k * sxy - sx * sy, denom)
     intercept = Fraction(sy - slope * sx, k)
     # |v − slope·n| as the integer pair |v·Q − P·n|/Q: int true division
     # rounds correctly, so this is the float of the Fraction, bit for bit
     P, Q = slope.numerator, slope.denominator
-    dev = max(abs(v * Q - P * n) / Q / math.log(n) for n, v in samples)
+    gaps = map(abs, map(sub, map(Q.__mul__, vs), map(P.__mul__, ns)))
+    dev = max(map(truediv, map(truediv, gaps, repeat(Q)), map(math.log, ns)))
     return SlopeFit(slope, intercept, dev, (lo, hi))
 
 

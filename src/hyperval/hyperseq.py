@@ -8,11 +8,13 @@ u₀ = 0) is allowed but flagged, since the sequence is then eventually
 zero.
 
 Every walk along the sequence steps with one integer form, step_polys:
-uₘ = uₘ₋₁·A(m)/B(m).  TermCursor streams the exact values and
-valuations() the p-adic valuations, without building the terms.  The
-module also rewrites a recurrence into a regular one (no two roots of
-f·g differing by a nonzero integer) times an explicit rational-function
-correction, and profiles Weil-height growth.
+uₘ = uₘ₋₁·A(m)/B(m).  TermCursor streams the exact values.  The p-adic
+valuations build no term and evaluate A and B at few indices: ν_p(A(m))
+is read from the residue classes mod pʲ on which pʲ divides A, sieved
+once per prime (likewise B).  The module also rewrites a recurrence
+into a regular one (no two roots of f·g differing by a nonzero integer)
+times an explicit rational-function correction, and profiles
+Weil-height growth.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate
+from operator import sub
 from typing import Iterator, Optional, Union
 
 from .errors import InvalidF, UnsupportedFactorization, UnsupportedInput
@@ -301,38 +304,112 @@ def term(seq: HypergeomSeq, n: int) -> Fraction:
     return cur.value
 
 
-def valuations(seq: HypergeomSeq, p: int) -> Iterator[Valuation]:
-    """ν_p(u₀), ν_p(u₁), … without building the terms; INFINITY from the
-    first zero term on.  Raises BadPrime (on the first next()) unless p
-    is prime."""
-    require_prime(p)
-    A, B = step_polys(seq)
-    if seq.u0 != 0:
-        v = fraction_valuation(seq.u0, p)
-        m = 0
-        while True:
-            yield v
-            m += 1
-            a = int_eval(A, m)
-            if a == 0:
-                break
-            v += int_valuation(a, p) - int_valuation(int_eval(B, m), p)
-    while True:
-        yield INFINITY
+def _residue_levels(c: list[int], p: int,
+                    n: int) -> tuple[int, list[int], list[list[int]]]:
+    """The level sets of the nonzero integer polynomial c at p, up to n.
+
+    Returns (k, c1, levels) with c = (content)·c1, c1 primitive and
+    k = ν_p(content).  levels[j−1] is Sⱼ = {r mod pʲ : pʲ | c1(r)}, for
+    every j with pʲ ≤ n, up to the first empty one.  Each Sⱼ comes from
+    testing the p lifts r + t·pʲ⁻¹ of every r in Sⱼ₋₁; no Hensel
+    assumption is made, so the sets are exact at every prime.  Since
+    |Sⱼ₋₁| ≤ pʲ⁻¹, building them evaluates c1 at most n·log_p n times.
+    """
+    content = math.gcd(*c)
+    c1 = [a // content for a in c]
+    levels: list[list[int]] = []
+    period, level = 1, [0]
+    while level and period * p <= n:
+        lifted = period * p
+        level = [r for s in level for r in range(s, lifted, period)
+                 if int_eval(c1, r) % lifted == 0]
+        levels.append(level)
+        period = lifted
+    return int_valuation(content, p), c1, levels
+
+
+def _deep_indices(levels: list[list[int]], p: int, n: int) -> Iterator[int]:
+    """The m in [1, n] whose class lies in the deepest level: there ν_p
+    may exceed the level count, so it is computed exactly.  With no
+    levels (p > n) that is every m."""
+    period = p ** len(levels)
+    for r in levels[-1] if levels else (0,):
+        yield from range(r or period, n + 1, period)
+
+
+def _step_valuations(c: list[int], p: int, n: int) -> list[int]:
+    """[ν_p(c(1)), …, ν_p(c(n))] for c nonzero on [1, n]: each level is a
+    repeated byte pattern, and the levels are summed as one integer."""
+    k, c1, levels = _residue_levels(c, p, n)
+    deepest = p ** len(levels)
+    width = -(-(n + 1) // deepest) * deepest  # a multiple of every period
+    total = 0
+    period = 1
+    for level in levels:
+        period *= p
+        pattern = bytearray(period)
+        for r in level:
+            pattern[r] = 1
+        total += int.from_bytes(pattern * (width // period), "little")
+    # a byte holds at most len(levels) < 256 levels, so no carries
+    vals = list(total.to_bytes(width, "little")[1:n + 1])
+    for m in _deep_indices(levels, p, n):
+        vals[m - 1] = int_valuation(int_eval(c1, m), p)
+    return list(map(k.__add__, vals)) if k else vals
+
+
+def _valuation_sum(c: list[int], p: int, n: int) -> int:
+    """Σ ν_p(c(m)) over 1 ≤ m ≤ n for c nonzero on [1, n], counting the
+    members of each residue class in closed form."""
+    k, c1, levels = _residue_levels(c, p, n)
+    total = n * k
+    period = 1
+    for level in levels:
+        period *= p
+        # #{1 ≤ m ≤ n : m ≡ r mod period} for 0 ≤ r < period ≤ n
+        total += sum((n - r) // period + (r > 0) for r in level)
+    depth = len(levels)
+    for m in _deep_indices(levels, p, n):
+        total += int_valuation(int_eval(c1, m), p) - depth
+    return total
+
+
+def _first_zero(seq: HypergeomSeq) -> Optional[int]:
+    """The first n with uₙ = 0, or None: 0 when u₀ = 0, else the least
+    positive integer root of g (where A vanishes)."""
+    if seq.u0 == 0:
+        return 0
+    return min(seq.flags.g_positive_integer_roots, default=None)
 
 
 def term_valuation(seq: HypergeomSeq, n: int, p: int) -> Valuation:
-    """ν_p(uₙ) without constructing the term itself."""
+    """ν_p(uₙ) without constructing the term itself, in O(levels) steps:
+    ν_p(u₀) plus the class counts of the level sets of A and B."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return next(islice(valuations(seq, p), n, None))
+    require_prime(p)
+    zero = _first_zero(seq)
+    if zero is not None and n >= zero:
+        return INFINITY
+    A, B = step_polys(seq)
+    return (fraction_valuation(seq.u0, p) + _valuation_sum(A, p, n)
+            - _valuation_sum(B, p, n))
 
 
 def valuation_profile(seq: HypergeomSeq, p: int, n_max: int) -> list[Valuation]:
-    """[ν_p(u₀), …, ν_p(u_{n_max})] in one streaming pass."""
+    """[ν_p(u₀), …, ν_p(u_{n_max})], INFINITY from the first zero term on:
+    prefix sums of ν_p(A(m)) − ν_p(B(m)) over the level sets of A and B."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return list(islice(valuations(seq, p), n_max + 1))
+    require_prime(p)
+    zero = _first_zero(seq)
+    n = n_max if zero is None else min(n_max, zero - 1)
+    if n < 0:
+        return [INFINITY] * (n_max + 1)
+    A, B = step_polys(seq)
+    steps = map(sub, _step_valuations(A, p, n), _step_valuations(B, p, n))
+    vals = list(accumulate(steps, initial=fraction_valuation(seq.u0, p)))
+    return vals + [INFINITY] * (n_max - n)
 
 
 # -- regularization ----------------------------------------------------

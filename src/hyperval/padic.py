@@ -296,7 +296,8 @@ def valuation_at_prime_power(
 ) -> tuple[int, int]:
     """ν_p(u_{p^s}) computed two independent ways: (direct, digit formula).
 
-    Direct: incremental summation of ν_p(g(m)) − ν_p(f(m)) for m ≤ p^s.
+    Direct: term_valuation, which sums ν_p(g(m)) − ν_p(f(m)) over
+    m ≤ p^s by counting residue classes mod pʲ, not index by index.
     Digit formula: Σ over lifted roots β of g of the truncation count
     minus the same over roots α of f — the per-root count being the
     number of precisions r > s at which the truncated root lies in

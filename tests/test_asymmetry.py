@@ -247,6 +247,21 @@ class TestScanOutcomes:
             for coprime_with in _COPRIME:
                 self._check(seq, 2, 120, coprime_with)
 
+    @pytest.mark.parametrize("digits", (1, 60, 6000))
+    def test_targets_of_thousands_of_digits(self, digits, sq_pair, catalan):
+        # the scan tests a block of primes with one gcd against the
+        # product of u₀ and the targets; 4000 passes the blocks' cap of
+        # 256 primes, and the planted factors sit in several blocks
+        rng = random.Random(digits)
+        body = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        target = Fraction(body * 3 * 1009 * 3989, 11 * 2003)
+        for seq in (sq_pair, catalan):
+            got = list(scan_primes(seq, 2, 4000, (target,)))
+            assert got == [(p, _per_prime_body(seq, p, (target,)))
+                           for p in sieve_primes(4000)]
+            assert {p for p, o in got if o == "excluded"} >= {3, 11, 1009,
+                                                              2003, 3989}
+
 
 def _per_prime_body(seq, p, coprime_with):
     """scan_primes' per-prime body before the root-count plan: the gate

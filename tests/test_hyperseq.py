@@ -1,10 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from hyperval import hyperseq
 from hyperval.asymmetry import slope_fit
 from hyperval.errors import (
     BadPrime,
@@ -18,6 +20,7 @@ from hyperval.hyperseq import (
     make_sequence,
     parse_sequence_spec,
     regularize,
+    step_polys,
     term,
     term_valuation,
     usable_prime,
@@ -25,12 +28,14 @@ from hyperval.hyperseq import (
 )
 from hyperval.numtheory import (
     INFINITY,
+    fraction_valuation,
+    int_valuation,
     padic_valuation,
     sieve_primes,
     weil_height_exact,
 )
 from hyperval.padic import is_hensel_prime
-from hyperval.polyq import ONE, RatPoly, X
+from hyperval.polyq import ONE, RatPoly, X, int_eval
 
 
 class TestClosedForms:
@@ -252,6 +257,116 @@ class TestValuationProfile:
     def test_negative_n_max_rejected(self, factorial):
         with pytest.raises(ValueError):
             valuation_profile(factorial, 2, -3)
+
+
+def _per_step_valuations(seq, p, n_max):
+    """[ν_p(u₀), …, ν_p(u_{n_max})] one step at a time: ν_p(A(m)) −
+    ν_p(B(m)) from two evaluations per index (the walk the sieved
+    engine replaced), INFINITY from the first zero term on."""
+    A, B = step_polys(seq)
+    out = []
+    if seq.u0 != 0:
+        v = fraction_valuation(seq.u0, p)
+        for m in range(n_max + 1):
+            if m > 0:
+                a = int_eval(A, m)
+                if a == 0:
+                    break
+                v += int_valuation(a, p) - int_valuation(int_eval(B, m), p)
+            out.append(v)
+    return out + [INFINITY] * (n_max + 1 - len(out))
+
+
+_ENGINE_PRIMES = (2, 3, 5, 7, 11, 101, 1009)
+
+
+class TestSievedValuations:
+    """The residue-class engine against the per-step walk."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name, request):
+        seq = request.getfixturevalue(name)
+        n_max = 5000
+        for p in _ENGINE_PRIMES:
+            want = _per_step_valuations(seq, p, n_max)
+            assert valuation_profile(seq, p, n_max) == want, p
+            for n in (0, 1, p - 1, p, p * p, n_max):
+                if n <= n_max:
+                    assert term_valuation(seq, n, p) == want[n], (p, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_pairs(self, data):
+        # degree ≤ 5 with fractional coefficients, contents divisible by
+        # p, repeated roots (including roots that collide mod p), positive
+        # integer roots of g, u₀ = 0 and primes above n
+        p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)), "p")
+        n_max = data.draw(st.sampled_from((0, 1, 5, 40, 300, 700)), "n")
+        f, g = (data.draw(_step_poly(p), side) for side in "fg")
+        u0 = data.draw(st.sampled_from((0, 1, Fraction(p ** 2, 3),
+                                        Fraction(5, p), -7)), "u0")
+        try:
+            seq = make_sequence(f, g, u0)
+        except (InvalidF, ValueError):  # f has a positive integer root,
+            assume(False)               # or f or g is zero
+        want = _per_step_valuations(seq, p, n_max)
+        assert valuation_profile(seq, p, n_max) == want
+        n = data.draw(st.integers(0, n_max), "index")
+        assert term_valuation(seq, n, p) == want[n]
+
+    def test_first_zero(self, eventually_zero):
+        # g(3) = 0: finite through u₂, INFINITY from u₃ on
+        assert term_valuation(eventually_zero, 2, 2) == 0
+        assert term_valuation(eventually_zero, 3, 2) is INFINITY
+        zero = make_sequence(X + ONE, X, Fraction(0))
+        assert valuation_profile(zero, 3, 4) == [INFINITY] * 5
+        assert term_valuation(zero, 0, 3) is INFINITY
+
+
+@st.composite
+def _step_poly(draw, p):
+    """A polynomial of degree ≤ 5: a fractional unit, a power of p and
+    linear factors x − a drawn with repetition, so roots repeat, collide
+    mod p, or sit at positive integers."""
+    unit = draw(st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-3, 4),
+                                 Fraction(p, 7), 6)))
+    poly = RatPoly([unit * p ** draw(st.integers(0, 3))])
+    roots = draw(st.lists(st.one_of(
+        st.integers(-12, 12),
+        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+        st.sampled_from((p, 2 * p, p * p + 1, -p ** 3))), max_size=5))
+    for a in roots:
+        poly = poly * (X - RatPoly([a]))
+    if draw(st.booleans()):
+        poly = poly + RatPoly([draw(st.sampled_from((1, p, p ** 4)))])
+    return poly
+
+
+class TestEngineBounds:
+    def test_evaluations_for_a_sixfold_root(self, monkeypatch):
+        # x⁶ at p = 2: level j holds the multiples of 2^⌈j/6⌉, so the
+        # levels grow with n, yet building them and reading the deepest
+        # class evaluates c at most 2·n·log₂ n times
+        calls = []
+        original = hyperseq.int_eval
+
+        def counting(c, x):
+            calls.append(x)
+            return original(c, x)
+
+        monkeypatch.setattr(hyperseq, "int_eval", counting)
+        n = 10 ** 5
+        vals = hyperseq._step_valuations([0] * 6 + [1], 2, n)
+        assert len(calls) <= 2 * n * math.log2(n)
+        monkeypatch.undo()
+        assert vals == [6 * ((m & -m).bit_length() - 1)
+                        for m in range(1, n + 1)]
+
+    def test_legendre_at_a_trillion(self, factorial):
+        n = 10 ** 12
+        t0 = time.perf_counter()
+        assert term_valuation(factorial, n, 2) == n - bin(n).count("1")
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestHeightProfile:

@@ -23,7 +23,6 @@ from hyperval.hyperseq import (
     term_valuation,
     usable_prime,
     valuation_profile,
-    valuations,
 )
 from hyperval.membership import MembershipConfig, decide
 from hyperval.numtheory import legendre, padic_valuation, sqrt_mod
@@ -60,7 +59,6 @@ PUBLIC = {
     "valuation_at_prime_power":
         lambda seq, p: valuation_at_prime_power(seq, p, 1),
     "usable_prime": usable_prime,
-    "valuations": lambda seq, p: next(valuations(seq, p)),
     "term_valuation": lambda seq, p: term_valuation(seq, 5, p),
     "valuation_profile": lambda seq, p: valuation_profile(seq, p, 5),
     "slope_fit": lambda seq, p: slope_fit(seq, p, 40),
