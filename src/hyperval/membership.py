@@ -4,9 +4,10 @@ The certified route: find a prime p where root counts of f and g differ
 (so |ν_p(uₙ)| grows linearly along the sequence) and p divides neither
 u₀ nor the target t.  The envelope then yields an index n₀ with
 |ν_p(uₙ)| > |ν_p(t)| for every n ≥ n₀ — beyond it uₙ = t is impossible
-— and the finite prefix is scanned exhaustively.  The scan streams
-p-adic valuations and two word-size modular residues as filters; any
-index surviving the filters is re-verified with a fresh exact term, so
+— and the finite prefix is scanned exhaustively.  The scan filters the
+prefix with one residue pair of the cross-multiplied identity modulo a
+product of two Mersenne primes, carried by lazy itertools chains; any
+index surviving the filter is re-verified with a fresh exact term, so
 filter collisions cost time, never correctness.
 
 Eventually-zero sequences (u₀ = 0 or g with a positive integer root)
@@ -19,6 +20,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, count, islice
+from operator import eq
 from typing import Optional, Sequence, Union
 
 from .asymmetry import (
@@ -30,13 +33,14 @@ from .asymmetry import (
 )
 from .errors import HypervalError, NotHenselPrime, UnsupportedInput
 from .hyperseq import HypergeomSeq, TermCursor, step_polys, term
-from .numtheory import Rational, fraction_valuation, int_valuation
-from .polyq import int_eval
+from .numtheory import Rational, fraction_valuation
+from .polyq import int_values
 
-# filter moduli: two Mersenne primes; a congruence that holds for equal
-# integers holds at every modulus, so the filter can never lose a witness
-_M1 = (1 << 61) - 1
-_M2 = (1 << 31) - 1
+# filter modulus: a product of two Mersenne primes, so by CRT a residue
+# pair agrees mod _M exactly when it agrees mod both; a congruence that
+# holds for equal integers holds at every modulus, so the filter can
+# never lose a witness
+_M = ((1 << 61) - 1) * ((1 << 31) - 1)
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,7 @@ def decide(seq: HypergeomSeq, t: Union[Rational, int],
             wall_time=time.monotonic() - t0,
         )
 
-    hit = _scan_prefix(seq, t, cert.p, vt, n0)
+    hit = _scan_prefix(seq, t, n0)
     if hit is not None:
         return _yes(hit, t0, certificate=cert, bound_n0=n0, checked=hit + 1)
     return MembershipVerdict(
@@ -214,34 +218,31 @@ def _decide_degenerate(seq: HypergeomSeq, t: Fraction,
     )
 
 
-def _scan_prefix(seq: HypergeomSeq, t: Fraction, p: int, vt: int,
-                 n0: int) -> Optional[int]:
+def _mulmod(x: int, y: int) -> int:
+    return x * y % _M
+
+
+def _scan_prefix(seq: HypergeomSeq, t: Fraction, n0: int) -> Optional[int]:
     """First n < n0 with uₙ = t, or None.
 
-    Steps with step_polys (uₘ = uₘ₋₁·A(m)/B(m)), streaming ν_p and two
-    modular residues of the cross-multiplied identity
-    u0num·tden·∏A(m) = tnum·u0den·∏B(m); both are conserved exactly at
-    a true witness, so they only ever filter out non-witnesses.
-    Survivors get an exact from-scratch check.
+    With uₘ = uₘ₋₁·A(m)/B(m) from step_polys, uₙ = t exactly when
+    u0num·tden·∏A(m) = tnum·u0den·∏B(m) over 1 ≤ m ≤ n.  A(m) and B(m)
+    come from forward differences and both sides are prefix products
+    mod _M, in itertools chains whose only Python frame per index is
+    _mulmod.  A true witness always passes the congruence, and each
+    index that passes gets an exact check from scratch; the chain is
+    lazy, so a hit stops it at the witness.
     """
     A, B = step_polys(seq)
     u0n, u0d = seq.u0.numerator, seq.u0.denominator
-    tn, td = t.numerator, t.denominator
-    lhs1, rhs1 = (u0n * td) % _M1, (tn * u0d) % _M1
-    lhs2, rhs2 = (u0n * td) % _M2, (tn * u0d) % _M2
-    v = int_valuation(u0n, p) - int_valuation(u0d, p)
-    n = 0
-    while True:
-        if v == vt and lhs1 == rhs1 and lhs2 == rhs2:
-            if term(seq, n) == t:
-                return n
-        n += 1
-        if n >= n0:
-            return None
-        a, b = int_eval(A, n), int_eval(B, n)
-        v += int_valuation(a, p) - int_valuation(b, p)
-        lhs1, rhs1 = (lhs1 * a) % _M1, (rhs1 * b) % _M1
-        lhs2, rhs2 = (lhs2 * a) % _M2, (rhs2 * b) % _M2
+    lhs = accumulate(islice(int_values(A, 1), n0 - 1), _mulmod,
+                     initial=u0n * t.denominator % _M)
+    rhs = accumulate(islice(int_values(B, 1), n0 - 1), _mulmod,
+                     initial=t.numerator * u0d % _M)
+    for n in compress(count(), map(eq, lhs, rhs)):
+        if term(seq, n) == t:
+            return n
+    return None
 
 
 def decide_batch(

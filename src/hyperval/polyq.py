@@ -22,7 +22,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from operator import add
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _fp
 from .numtheory import Rational, factorize, sieve_primes
@@ -401,6 +402,24 @@ def int_eval(c: Sequence[int], x: int) -> int:
     for a in reversed(c):
         acc = acc * x + a
     return acc
+
+
+def int_values(c: Sequence[int], start: int) -> Iterator[int]:
+    """c(start), c(start + 1), … without end, by forward differences.
+
+    d + 1 Horner evaluations seed the difference table of the degree-d
+    polynomial c; each later value costs d big-int additions, made by d
+    nested accumulates with no per-value Python frame.
+    """
+    row = [int_eval(c, start + i) for i in range(max(len(c), 1))]
+    heads = []
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    values = itertools.repeat(heads.pop())
+    for head in reversed(heads):
+        values = itertools.accumulate(values, add, initial=head)
+    return values
 
 
 def _int_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:

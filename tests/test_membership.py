@@ -4,14 +4,17 @@ import math
 import sys
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperval import asymmetry, membership, numtheory, padic, polyq
 from hyperval.asymmetry import find_asymmetric_prime, scan_primes
-from hyperval.hyperseq import make_sequence, term
+from hyperval.errors import InvalidF
+from hyperval.hyperseq import make_sequence, step_polys, term
 from hyperval.membership import MembershipConfig, decide, decide_batch
-from hyperval.polyq import RatPoly
+from hyperval.numtheory import fraction_valuation, int_valuation
+from hyperval.polyq import RatPoly, int_eval
 
 X = RatPoly([0, 1])
 ONE = RatPoly([1])
@@ -69,10 +72,15 @@ def _term_calls(monkeypatch):
 
 
 class TestExactChecks:
-    def test_one_exact_check_per_yes(self, factorial, monkeypatch):
+    def test_one_exact_check_per_yes(self, factorial, sq_pair,
+                                     mixed_degree, monkeypatch):
+        targets = [(factorial, 120, 5), (sq_pair, term(sq_pair, 700), 700),
+                   (mixed_degree, term(mixed_degree, 150), 150)]
         calls = _term_calls(monkeypatch)
-        assert decide(factorial, 120).witness == 5
-        assert calls == [5]
+        for seq, t, n in targets:
+            del calls[:]
+            assert decide(seq, t).witness == n
+            assert calls == [n]
 
     def test_degenerate_zero_target_checked_once(self, eventually_zero,
                                                  monkeypatch):
@@ -86,6 +94,92 @@ class TestExactChecks:
         calls = _term_calls(monkeypatch)
         assert decide(eventually_zero, Fraction(1, 3)).witness == 2
         assert calls == []
+
+    def test_no_exact_check_on_a_long_no_scan(self, sq_pair, monkeypatch):
+        calls = _term_calls(monkeypatch)
+        v = decide(sq_pair, Fraction(7, 5), MembershipConfig(forced_prime=2797))
+        assert (v.outcome, v.bound_n0, v.terms_checked) == ("no", 14216, 14216)
+        assert calls == []
+
+
+def _per_step_scan(seq, t, p, vt, n0):
+    """First n < n0 with uₙ = t, or None, one step at a time (the loop
+    the iterator scan replaced): ν_p(uₙ) == vt and the cross-multiplied
+    identity mod two Mersenne primes filter, term() confirms."""
+    m1, m2 = (1 << 61) - 1, (1 << 31) - 1
+    A, B = step_polys(seq)
+    u0n, u0d = seq.u0.numerator, seq.u0.denominator
+    tn, td = t.numerator, t.denominator
+    lhs1, rhs1 = (u0n * td) % m1, (tn * u0d) % m1
+    lhs2, rhs2 = (u0n * td) % m2, (tn * u0d) % m2
+    v = int_valuation(u0n, p) - int_valuation(u0d, p)
+    n = 0
+    while True:
+        if v == vt and lhs1 == rhs1 and lhs2 == rhs2:
+            if term(seq, n) == t:
+                return n
+        n += 1
+        if n >= n0:
+            return None
+        a, b = int_eval(A, n), int_eval(B, n)
+        v += int_valuation(a, p) - int_valuation(b, p)
+        lhs1, rhs1 = (lhs1 * a) % m1, (rhs1 * b) % m1
+        lhs2, rhs2 = (lhs2 * a) % m2, (rhs2 * b) % m2
+
+
+def _coprime_prime(t):
+    return next(p for p in numtheory.sieve_primes(200)
+                if t.numerator % p and t.denominator % p)
+
+
+class TestPrefixScan:
+    """The iterator scan against the per-step loop."""
+
+    @pytest.mark.parametrize("name", ["factorial", "sq_pair", "class_c_seq",
+                                      "double_root", "mixed_degree"])
+    def test_corpus_at_decides_cutoff(self, name, request):
+        seq = request.getfixturevalue(name)
+        for k in (0, 1, 2, 9, 60, 400):
+            u = term(seq, k)
+            for t in (u, u * Fraction(3, 2), u * Fraction(5, 7), -u):
+                v = decide(seq, t)
+                assert v.outcome in ("yes", "no"), v.reason
+                p, n0 = v.certificate.p, v.bound_n0
+                vt = abs(fraction_valuation(t, p))
+                got = membership._scan_prefix(seq, t, n0)
+                assert got == _per_step_scan(seq, t, p, vt, n0) == v.witness
+                if t == u:
+                    assert got is not None and got <= k
+
+    def test_cutoff_one_checks_index_zero(self, factorial, sq_pair,
+                                          mixed_degree):
+        for seq in (factorial, sq_pair, mixed_degree):
+            for t in (seq.u0, seq.u0 + 1, term(seq, 3)):
+                want = 0 if t == seq.u0 else None
+                p = _coprime_prime(t)
+                assert membership._scan_prefix(seq, t, 1) == want
+                assert _per_step_scan(seq, t, p, 0, 1) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_pairs(self, data):
+        coeffs = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+        f, g = (RatPoly(data.draw(coeffs, side)) for side in "fg")
+        u0 = data.draw(st.fractions(-9, 9, max_denominator=5).filter(bool))
+        try:
+            seq = make_sequence(f, g, u0)
+        except (InvalidF, ValueError):
+            assume(False)
+        assume(not seq.flags.degenerate_zero)
+        n0 = data.draw(st.integers(1, 60), "n0")
+        k = data.draw(st.integers(0, 70), "k")
+        scale = data.draw(st.sampled_from((1, 1, Fraction(3, 2), -1, 7)))
+        t = term(seq, k) * scale
+        p = _coprime_prime(t)
+        got = membership._scan_prefix(seq, t, n0)
+        assert got == _per_step_scan(seq, t, p, 0, n0)
+        if scale == 1 and k < n0:
+            assert got is not None and got <= k
 
 
 class TestNoVerdicts:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 import sympy
@@ -12,6 +13,8 @@ from hyperval.polyq import (
     discriminant_quadratic,
     factor,
     int_discriminant,
+    int_eval,
+    int_values,
     nonnegative_integer_roots,
     poly_gcd,
     positive_integer_roots,
@@ -224,6 +227,36 @@ class TestIntDiscriminant:
     def test_matches_sympy(self, low, lead):
         c = low + [lead]
         assert int_discriminant(c) == self._sympy(c)
+
+
+class TestIntValues:
+    """The forward-difference evaluator against Horner's int_eval."""
+
+    BIG = 10 ** 40 + 7
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_matches_horner(self, d):
+        for c in ([-3 - 2 * i for i in range(d)] + [-1],
+                  [(-1) ** i * (self.BIG + i) for i in range(d + 1)],
+                  [0] * d + [-self.BIG]):
+            for n in (0, 1, d, d + 1, 1000):
+                got = list(islice(int_values(c, n), 60))
+                assert got == [int_eval(c, n + i) for i in range(60)], (c, n)
+            got = list(islice(int_values(c, 0), 1001))
+            assert got == [int_eval(c, m) for m in range(1001)], c
+
+    def test_negative_start_and_zero_polynomial(self):
+        c = [5, -7, 0, 2]
+        assert list(islice(int_values(c, -9), 30)) == \
+            [int_eval(c, m) for m in range(-9, 21)]
+        assert list(islice(int_values([], 4), 3)) == [0, 0, 0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-10 ** 25, 10 ** 25), min_size=1, max_size=6),
+           st.integers(-50, 2000))
+    def test_random(self, c, start):
+        got = list(islice(int_values(c, start), 40))
+        assert got == [int_eval(c, start + i) for i in range(40)]
 
 
 class TestRadical:
