@@ -14,9 +14,7 @@ from .asymmetry import (
     Envelope,
     ScanResult,
     certified_envelope,
-    class_d_quadratic_check,
     find_asymmetric_prime,
-    is_p_symmetric,
     make_certificate,
     root_counts,
     slope_fit,
@@ -53,7 +51,6 @@ from .membership import (
     MembershipConfig,
     MembershipVerdict,
     decide,
-    decide_batch,
 )
 from .numtheory import (
     INFINITY,
@@ -63,13 +60,11 @@ from .numtheory import (
     padic_valuation,
     sqrt_mod,
     squarefree_part,
-    weil_height,
     weil_height_exact,
 )
 from .padic import (
     PadicRoot,
     count_roots_mod_p,
-    digit_frequency,
     hensel_lift,
     is_hensel_prime,
     roots_mod_p,
@@ -81,6 +76,7 @@ from .quadratic import (
     DiscriminantProfile,
     EquidistributionReport,
     class_c_check,
+    class_d_quadratic_check,
     discriminant_profile,
     equidistribution_sample,
     exists_condition_prime,
@@ -94,8 +90,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AsymmetryCertificate", "Envelope", "ScanResult", "certified_envelope",
-    "class_d_quadratic_check", "find_asymmetric_prime", "is_p_symmetric",
-    "make_certificate", "root_counts", "slope_fit",
+    "find_asymmetric_prime", "make_certificate", "root_counts", "slope_fit",
     "BadPrime", "EmptySampleSet", "HypervalError", "InvalidF", "NonResidue",
     "NotHenselPrime", "NotSimpleRoot", "PolyParseError", "PrecisionExhausted",
     "UnsupportedFactorization", "UnsupportedInput",
@@ -103,16 +98,16 @@ __all__ = [
     "ValidationFlags", "height_profile", "make_sequence",
     "parse_sequence_spec", "regularize", "term", "term_valuation",
     "usable_prime", "valuation_profile",
-    "MembershipConfig", "MembershipVerdict", "decide", "decide_batch",
+    "MembershipConfig", "MembershipVerdict", "decide",
     "INFINITY", "Rational", "is_prime", "legendre", "padic_valuation",
-    "sqrt_mod", "squarefree_part", "weil_height", "weil_height_exact",
-    "PadicRoot", "count_roots_mod_p", "digit_frequency", "hensel_lift",
-    "is_hensel_prime", "roots_mod_p", "valuation_at_prime_power",
-    "zero_run_length",
+    "sqrt_mod", "squarefree_part", "weil_height_exact",
+    "PadicRoot", "count_roots_mod_p", "hensel_lift", "is_hensel_prime",
+    "roots_mod_p", "valuation_at_prime_power", "zero_run_length",
     "RatPoly", "RationalFunction", "X", "factor",
     "DiscriminantProfile", "EquidistributionReport", "class_c_check",
-    "discriminant_profile", "equidistribution_sample",
-    "exists_condition_prime", "find_condition_prime", "rep_quadratic",
-    "star_discrepancy", "window_count",
+    "class_d_quadratic_check", "discriminant_profile",
+    "equidistribution_sample", "exists_condition_prime",
+    "find_condition_prime", "rep_quadratic", "star_discrepancy",
+    "window_count",
     "__version__",
 ]

@@ -19,17 +19,10 @@ from itertools import islice, repeat
 from operator import mul, sub, truediv
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import NotHenselPrime, UnsupportedFactorization, UnsupportedInput
+from .errors import NotHenselPrime, UnsupportedInput
 from .hyperseq import HypergeomSeq, usable_prime, valuation_profile
-from .numtheory import (
-    INFINITY,
-    Rational,
-    iter_primes,
-    require_prime,
-    squarefree_part,
-)
+from .numtheory import INFINITY, Rational, iter_primes, require_prime
 from .padic import count_roots_mod_p
-from .polyq import discriminant_quadratic, factor
 
 
 def root_counts(seq: HypergeomSeq, p: int) -> tuple[int, int]:
@@ -40,12 +33,6 @@ def root_counts(seq: HypergeomSeq, p: int) -> tuple[int, int]:
             "(bad reduction or colliding roots)"
         )
     return (count_roots_mod_p(seq.f, p), count_roots_mod_p(seq.g, p))
-
-
-def is_p_symmetric(seq: HypergeomSeq, p: int) -> bool:
-    """Do f and g have equally many roots mod p?"""
-    m_f, m_g = root_counts(seq, p)
-    return m_f == m_g
 
 
 @dataclass(frozen=True)
@@ -261,10 +248,6 @@ class Envelope:
         return (self.A * n - self.c * (self.log_cap(n) + 2)
                 - self.u0_valuation_abs)
 
-    def crossover(self) -> int:
-        """Smallest n from which the bound stays positive."""
-        return self.bound_index(0)
-
     def bound_index(self, tau: int, max_n: Optional[int] = None) -> int:
         """Smallest n₀ with L(m) > tau guaranteed for every m ≥ n₀.
 
@@ -365,35 +348,3 @@ def slope_fit(seq: HypergeomSeq, p: int, n_max: int) -> SlopeFit:
     gaps = map(abs, map(sub, map(Q.__mul__, vs), map(P.__mul__, ns)))
     dev = max(map(truediv, map(truediv, gaps, repeat(Q)), map(math.log, ns)))
     return SlopeFit(slope, intercept, dev, (lo, hi))
-
-
-# -- quadratic class-D criterion ----------------------------------------
-
-
-def class_d_quadratic_check(seq: HypergeomSeq) -> bool:
-    """Do f and g force divergence through mismatched quadratic data?
-
-    Each irreducible factor (with multiplicity) contributes the
-    square-free part of its discriminant — 1 for a linear factor — and
-    the sequence is divergence-certified iff the two multisets differ:
-    no pairing of parameters can then generate equal number fields with
-    equal discriminant classes.
-    """
-    multisets = []
-    for poly in (seq.f, seq.g):
-        fac = factor(poly)
-        tags: list[int] = []
-        for pf in fac.factors:
-            if not pf.certified or pf.poly.degree > 2:
-                raise UnsupportedFactorization(
-                    f"cannot certify the factor {pf.poly} "
-                    "(degree above 2 or incomplete split)"
-                )
-            if pf.poly.degree == 1:
-                tags.extend([1] * pf.multiplicity)
-            else:
-                disc = discriminant_quadratic(pf.poly)
-                part = 1 if disc == 0 else squarefree_part(disc)
-                tags.extend([part] * pf.multiplicity)
-        multisets.append(sorted(tags))
-    return multisets[0] != multisets[1]

@@ -11,164 +11,31 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Iterable, Optional
 
+from .asymmetry import find_asymmetric_prime
 from .errors import HypervalError, NotSimpleRoot, PolyParseError
-from .polyq import RatPoly, X
+from .hyperseq import (
+    TermCursor,
+    height_profile,
+    make_sequence,
+    parse_sequence_spec,
+    regularize,
+    valuation_profile,
+)
+from .membership import MembershipConfig, decide
+from .numtheory import INFINITY
+from .padic import hensel_lift, roots_mod_p, zero_run_length
+from .polyq import parse_poly, parse_rational
+from .quadratic import (
+    class_c_check,
+    class_d_quadratic_check,
+    discriminant_profile,
+    equidistribution_sample,
+    find_condition_prime,
+)
 
-FORMAT_VERSION = 1
-MAX_EXPONENT = 10_000
-
-# -- polynomial expression parsing --------------------------------------
-
-_OPS = set("+-*^()/")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) triples; kinds: int, x, op."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(("int", text[i:j], i))
-            i = j
-        elif ch == "x":
-            out.append(("x", ch, i))
-            i += 1
-        elif ch in _OPS:
-            out.append(("op", ch, i))
-            i += 1
-        else:
-            raise PolyParseError(f"unexpected character {ch!r}", i)
-    return out
-
-
-class _PolyParser:
-    """Recursive descent over +, -, *, ^ with parentheses.
-
-    Rational literals are `int` or `int/int`; `^` takes a nonnegative
-    integer literal; there is no implicit multiplication and `/` appears
-    only inside rational literals.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise PolyParseError("unexpected end of expression", len(self.text))
-        self.pos += 1
-        return tok
-
-    def expect_op(self, symbol: str) -> None:
-        tok = self.take()
-        if tok[0] != "op" or tok[1] != symbol:
-            raise PolyParseError(f"expected {symbol!r}", tok[2])
-
-    def parse(self) -> RatPoly:
-        poly = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise PolyParseError(f"unexpected {tok[1]!r}", tok[2])
-        return poly
-
-    def expr(self) -> RatPoly:
-        poly = self.term()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.pos += 1
-                rhs = self.term()
-                poly = poly + rhs if tok[1] == "+" else poly - rhs
-            else:
-                return poly
-
-    def term(self) -> RatPoly:
-        poly = self.factor()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                self.pos += 1
-                poly = poly * self.factor()
-            else:
-                return poly
-
-    def factor(self) -> RatPoly:
-        tok = self.peek()
-        sign = 1
-        while tok and tok[0] == "op" and tok[1] in "+-":
-            if tok[1] == "-":
-                sign = -sign
-            self.pos += 1
-            tok = self.peek()
-        poly = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.pos += 1
-            etok = self.take()
-            if etok[0] != "int":
-                raise PolyParseError(
-                    "exponent must be a nonnegative integer literal", etok[2]
-                )
-            e = int(etok[1])
-            if e > MAX_EXPONENT:
-                raise PolyParseError(f"exponent overflow ({e} > {MAX_EXPONENT})",
-                                     etok[2])
-            poly = poly**e
-        return poly if sign == 1 else -poly
-
-    def atom(self) -> RatPoly:
-        tok = self.take()
-        kind, text, at = tok
-        if kind == "int":
-            value = Fraction(int(text))
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "/":
-                self.pos += 1
-                dtok = self.take()
-                if dtok[0] != "int":
-                    raise PolyParseError("denominator must be an integer",
-                                         dtok[2])
-                if int(dtok[1]) == 0:
-                    raise PolyParseError("division by zero", dtok[2])
-                value /= int(dtok[1])
-            return RatPoly([value])
-        if kind == "x":
-            return X
-        if kind == "op" and text == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise PolyParseError(f"unexpected {text!r}", at)
-
-
-def parse_poly(text: str) -> RatPoly:
-    """Exact polynomial from an expression like `(x^2-2)*(x^2-3)`."""
-    if not text.strip():
-        raise PolyParseError("empty polynomial expression", 0)
-    return _PolyParser(text).parse()
-
-
-def parse_rational(text: str) -> Fraction:
-    """Exact rational from `-3`, `5/2`, or similar."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PolyParseError(f"not a rational number: {text!r} ({exc})", 0)
+FORMAT_VERSION = 2
 
 
 # -- output plumbing ----------------------------------------------------
@@ -195,8 +62,6 @@ def _emit(fmt: str, lines: Iterable[str]) -> None:
 
 
 def _sequence_from_args(args):
-    from .hyperseq import make_sequence, parse_sequence_spec
-
     inline = [v is not None for v in (args.f, args.g, args.u0)]
     if args.seq is not None or args.seq_file is not None:
         if args.seq is not None and args.seq_file is not None:
@@ -248,8 +113,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_terms(args) -> int:
-    from .hyperseq import TermCursor
-
     seq = _sequence_from_args(args)
     if args.n < 0:
         raise _UsageError("--n must be nonnegative")
@@ -274,8 +137,6 @@ def _cmd_terms(args) -> int:
 
 
 def _cmd_height(args) -> int:
-    from .hyperseq import height_profile
-
     seq = _sequence_from_args(args)
     if args.nmax < 1:
         raise _UsageError("--nmax must be >= 1")
@@ -293,9 +154,6 @@ def _cmd_height(args) -> int:
 
 
 def _cmd_valuation(args) -> int:
-    from .hyperseq import valuation_profile
-    from .numtheory import INFINITY
-
     seq = _sequence_from_args(args)
     if args.nmax < 0:
         raise _UsageError("--nmax must be nonnegative")
@@ -317,8 +175,6 @@ def _cmd_valuation(args) -> int:
 
 
 def _cmd_regularize(args) -> int:
-    from .hyperseq import regularize
-
     seq = _sequence_from_args(args)
     result = regularize(seq)
     reg = result.regular_seq
@@ -340,8 +196,6 @@ def _cmd_regularize(args) -> int:
 
 
 def _cmd_asymmetry(args) -> int:
-    from .asymmetry import find_asymmetric_prime
-
     seq = _sequence_from_args(args)
     if args.pmin < 2:
         raise _UsageError("--pmin must be >= 2")
@@ -365,10 +219,6 @@ def _cmd_asymmetry(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .asymmetry import class_d_quadratic_check
-    from .quadratic import class_c_check, discriminant_profile, \
-        find_condition_prime
-
     seq = _sequence_from_args(args)
     profile = discriminant_profile(seq)
     in_c = class_c_check(seq)
@@ -390,8 +240,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    from .membership import MembershipConfig, decide
-
     seq = _sequence_from_args(args)
     target = parse_rational(args.target)
     config = MembershipConfig(
@@ -402,7 +250,7 @@ def _cmd_membership(args) -> int:
     verdict = decide(seq, target, config)
     if args.format == "csv":
         _emit("csv", [
-            "outcome,witness,n0,terms_checked,wall_time,cert_p,cert_slope,reason",
+            "outcome,witness,n0,terms_checked,cert_p,cert_slope,reason",
             verdict.csv_row(),
         ])
     elif args.format == "structured-text":
@@ -418,14 +266,11 @@ def _cmd_membership(args) -> int:
         lines.append(f"terms checked: {verdict.terms_checked}")
         if verdict.reason:
             lines.append(f"reason: {verdict.reason}")
-        lines.append(f"wall time: {verdict.wall_time:.3f}s")
         _emit("human", lines)
     return 0
 
 
 def _cmd_equidist(args) -> int:
-    from .quadratic import equidistribution_sample
-
     report = equidistribution_sample(
         args.delta,
         q=args.modulus,
@@ -443,8 +288,6 @@ def _cmd_equidist(args) -> int:
 
 
 def _cmd_padic(args) -> int:
-    from .padic import hensel_lift, roots_mod_p, zero_run_length
-
     poly = parse_poly(args.poly)
     lines = []
     roots = roots_mod_p(poly, args.p)

@@ -46,6 +46,8 @@ from .polyq import (
     factor,
     int_discriminant,
     int_eval,
+    parse_poly,
+    parse_rational,
     poly_gcd,
     positive_integer_roots,
     radical,
@@ -587,8 +589,6 @@ def height_profile(seq: HypergeomSeq, n_max: int,
 
 def parse_sequence_spec(text: str) -> HypergeomSeq:
     """Parse `f = <poly>; g = <poly>; u0 = <rational>` into a sequence."""
-    from .cli import parse_poly, parse_rational
-
     fields = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()

@@ -17,12 +17,11 @@ answered from the validation flags alone.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice
 from operator import eq
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .asymmetry import (
     AsymmetryCertificate,
@@ -31,7 +30,7 @@ from .asymmetry import (
     make_certificate,
     scan_primes,
 )
-from .errors import HypervalError, NotHenselPrime, UnsupportedInput
+from .errors import NotHenselPrime, UnsupportedInput
 from .hyperseq import HypergeomSeq, TermCursor, step_polys, term
 from .numtheory import Rational, fraction_valuation
 from .polyq import int_values
@@ -58,11 +57,6 @@ class MembershipVerdict:
     certificate: Optional[AsymmetryCertificate] = None
     bound_n0: Optional[int] = None
     terms_checked: int = 0
-    wall_time: float = 0.0
-
-    @property
-    def is_yes(self) -> bool:
-        return self.outcome == "yes"
 
     def to_record(self) -> str:
         parts = [f"outcome={self.outcome}"]
@@ -71,7 +65,6 @@ class MembershipVerdict:
         if self.bound_n0 is not None:
             parts.append(f"n0={self.bound_n0}")
         parts.append(f"terms_checked={self.terms_checked}")
-        parts.append(f"wall_time={self.wall_time:.3f}s")
         if self.certificate is not None:
             parts.append(self.certificate.to_record())
         if self.reason:
@@ -85,20 +78,18 @@ class MembershipVerdict:
             "" if self.witness is None else str(self.witness),
             "" if self.bound_n0 is None else str(self.bound_n0),
             str(self.terms_checked),
-            f"{self.wall_time:.3f}",
             "" if cert is None else str(cert.p),
             "" if cert is None else str(cert.slope),
             self.reason.replace(",", ";"),
         ])
 
 
-def _yes(n: int, t0: float, certificate=None, bound_n0=None,
+def _yes(n: int, certificate=None, bound_n0=None,
          checked=0) -> MembershipVerdict:
     """The verdict for a witness its caller has already checked exactly."""
     return MembershipVerdict(
         "yes", witness=n, certificate=certificate, bound_n0=bound_n0,
-        terms_checked=checked, wall_time=time.monotonic() - t0,
-    )
+        terms_checked=checked)
 
 
 def _best_certificate(
@@ -138,10 +129,9 @@ def decide(seq: HypergeomSeq, t: Union[Rational, int],
            config: MembershipConfig = MembershipConfig()) -> MembershipVerdict:
     """Does uₙ = t hold for some n ≥ 0?"""
     t = Fraction(t)
-    t0 = time.monotonic()
 
     if seq.flags.degenerate_zero:
-        return _decide_degenerate(seq, t, config, t0)
+        return _decide_degenerate(seq, t, config)
 
     if t == 0:
         # a product of nonzero rationals is never zero
@@ -149,40 +139,33 @@ def decide(seq: HypergeomSeq, t: Union[Rational, int],
             "no",
             reason="u0 is nonzero and g has no positive integer roots, "
                    "so every term is a product of nonzero rationals",
-            wall_time=time.monotonic() - t0,
         )
 
     try:
         cert = _best_certificate(seq, t, config)
     except (UnsupportedInput, NotHenselPrime, ValueError) as exc:
-        return MembershipVerdict(
-            "unsupported", reason=str(exc),
-            wall_time=time.monotonic() - t0,
-        )
+        return MembershipVerdict("unsupported", reason=str(exc))
 
     envelope = certified_envelope(cert, seq)
     vt = abs(int(fraction_valuation(t, cert.p)))  # cert.p is a checked prime
     try:
         n0 = envelope.bound_index(vt, max_n=config.term_cap)
     except UnsupportedInput as exc:
-        return MembershipVerdict(
-            "unsupported", reason=str(exc), certificate=cert,
-            wall_time=time.monotonic() - t0,
-        )
+        return MembershipVerdict("unsupported", reason=str(exc),
+                                 certificate=cert)
 
     hit = _scan_prefix(seq, t, n0)
     if hit is not None:
-        return _yes(hit, t0, certificate=cert, bound_n0=n0, checked=hit + 1)
+        return _yes(hit, certificate=cert, bound_n0=n0, checked=hit + 1)
     return MembershipVerdict(
         "no", certificate=cert, bound_n0=n0, terms_checked=n0,
         reason=f"|v_{cert.p}| exceeds {vt} for all n >= {n0}; "
                "prefix scanned exhaustively",
-        wall_time=time.monotonic() - t0,
     )
 
 
 def _decide_degenerate(seq: HypergeomSeq, t: Fraction,
-                       config: MembershipConfig, t0: float) -> MembershipVerdict:
+                       config: MembershipConfig) -> MembershipVerdict:
     """u₀ = 0 or g with a positive root: compare along the finite prefix."""
     roots = seq.flags.g_positive_integer_roots
     first_zero = 0 if seq.u0 == 0 else (min(roots) if roots else None)
@@ -191,30 +174,26 @@ def _decide_degenerate(seq: HypergeomSeq, t: Fraction,
         if term(seq, first_zero) != 0:
             raise AssertionError(
                 f"witness verification failed at n = {first_zero}")
-        return _yes(first_zero, t0, checked=first_zero + 1)
+        return _yes(first_zero, checked=first_zero + 1)
     if seq.u0 == 0:
         return MembershipVerdict(
-            "no", reason="the zero sequence never equals a nonzero target",
-            wall_time=time.monotonic() - t0,
-        )
+            "no", reason="the zero sequence never equals a nonzero target")
     if first_zero > config.term_cap:
         return MembershipVerdict(
             "unsupported",
             reason=f"nonzero prefix of length {first_zero} exceeds the "
                    f"term cap {config.term_cap}",
-            wall_time=time.monotonic() - t0,
         )
     cur = TermCursor(seq)
     for n in range(first_zero):
         if n > 0:
             cur.advance()
         if (cur.num, cur.den) == (t.numerator, t.denominator):
-            return _yes(n, t0, checked=n + 1)
+            return _yes(n, checked=n + 1)
     return MembershipVerdict(
         "no", terms_checked=first_zero,
         reason=f"target differs from the {first_zero} nonzero terms and "
                "from the zero tail",
-        wall_time=time.monotonic() - t0,
     )
 
 
@@ -243,19 +222,3 @@ def _scan_prefix(seq: HypergeomSeq, t: Fraction, n0: int) -> Optional[int]:
         if term(seq, n) == t:
             return n
     return None
-
-
-def decide_batch(
-    items: Sequence[tuple[HypergeomSeq, Union[Rational, int]]],
-    config: MembershipConfig = MembershipConfig(),
-) -> list[MembershipVerdict]:
-    """Independent verdicts per (sequence, target); errors stay per-item."""
-    out = []
-    for seq, t in items:
-        try:
-            out.append(decide(seq, t, config))
-        except HypervalError as exc:
-            out.append(MembershipVerdict(
-                "unsupported", reason=f"{type(exc).__name__}: {exc}"
-            ))
-    return out

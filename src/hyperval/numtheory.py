@@ -308,15 +308,6 @@ def mod_rep(r: Rational | int, p: int) -> int:
     return r.numerator * pow(r.denominator, -1, p) % p
 
 
-def weil_height(r: Rational | int) -> float:
-    """Weil height max(log|a|, log|b|) of r = a/b in lowest terms.
-
-    The height of 0 is 0.  Exact integer comparisons should use
-    :func:`weil_height_exact` instead.
-    """
-    return math.log(weil_height_exact(r))
-
-
 def weil_height_exact(r: Rational | int) -> int:
     """The loss-free form of the height: max(|a|, |b|) for r = a/b reduced.
 

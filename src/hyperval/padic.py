@@ -3,8 +3,8 @@
 Covers reduction of rational polynomials mod p, root counting in the
 p-element field via gcd with x^p - x, detection of primes where every
 root lifts uniquely, Newton/Hensel lifting to prime-power precision, and
-digit-level diagnostics of lifted roots (zero runs, pattern frequencies,
-and the valuation identity at n = p^s that ties digit runs to ν_p(u_n)).
+digit-level diagnostics of lifted roots (zero runs and the valuation
+identity at n = p^s that ties digit runs to ν_p(u_n)).
 Public functions check that p is prime; the kernels on reduced lists
 (reduce_mod_p, frobenius_root_count, is_squarefree_mod_p) trust it.
 """
@@ -138,10 +138,6 @@ class PadicRoot:
         return _newton_root(self._source, F, self.p, self.value,
                             self.precision, k, self.digits)
 
-    def digit_text(self) -> str:
-        """Digits as text, least-significant first, one per token."""
-        return " ".join(str(d) for d in self.digits)
-
 
 def _to_pintegral_int_poly(f: RatPoly, p: int) -> list[int]:
     # clear denominators by the p-free part of their lcm; valuations at p
@@ -222,25 +218,6 @@ def zero_run_length(root: PadicRoot, s: int,
             return run
         run += 1
         j += 1
-
-
-def digit_frequency(root: PadicRoot, pattern_length: int) -> dict[tuple[int, ...], float]:
-    """Empirical frequency of each digit pattern of the given length.
-
-    Sliding window over all available digits; diagnostic only (normality
-    would predict p^(-pattern_length) for every pattern).
-    """
-    if pattern_length < 1:
-        raise ValueError("pattern length must be >= 1")
-    digits = root.digits
-    windows = len(digits) - pattern_length + 1
-    if windows <= 0:
-        raise ValueError("pattern longer than available digits")
-    counts: dict[tuple[int, ...], int] = {}
-    for i in range(windows):
-        w = digits[i:i + pattern_length]
-        counts[w] = counts.get(w, 0) + 1
-    return {w: c / windows for w, c in sorted(counts.items())}
 
 
 # -- the valuation identity at n = p^s ---------------------------------

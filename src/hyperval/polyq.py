@@ -5,7 +5,9 @@ coefficients (index = degree; the zero polynomial has no coefficients and
 degree -1).  On top of it this module provides gcd, square-free
 decomposition, a factoring pipeline certified complete whenever every
 irreducible factor has degree at most 2, quadratic discriminants,
-integer-shift detection, and factored rational functions.
+integer-shift detection, factored rational functions, and the
+expression grammar that ``str(RatPoly)`` writes (:func:`parse_poly`,
+:func:`parse_rational`).
 
 Factoring strategy: strip powers of x, make the polynomial monic with
 integer coefficients, run Yun's square-free decomposition, extract integer
@@ -26,6 +28,7 @@ from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _fp
+from .errors import PolyParseError
 from .numtheory import Rational, factorize, sieve_primes
 
 _MAX_DIVISOR_CANDIDATES = 200_000
@@ -232,6 +235,167 @@ def _coerce(v) -> RatPoly:
 
 X = RatPoly([0, 1])
 ONE = RatPoly([1])
+
+
+# -- the expression grammar that RatPoly.__str__ writes ----------------
+
+MAX_EXPONENT = 10_000
+ECHO_CAP = 40  # characters of a bad input an error message repeats
+_OPS = set("+-*^()/")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) triples; kinds: int, x, op."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(("int", text[i:j], i))
+            i = j
+        elif ch == "x":
+            out.append(("x", ch, i))
+            i += 1
+        elif ch in _OPS:
+            out.append(("op", ch, i))
+            i += 1
+        else:
+            raise PolyParseError(f"unexpected character {ch!r}", i)
+    return out
+
+
+class _PolyParser:
+    """Recursive descent over +, -, *, ^ with parentheses.
+
+    Rational literals are `int` or `int/int`; `^` takes a nonnegative
+    integer literal; there is no implicit multiplication and `/` appears
+    only inside rational literals.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> Optional[tuple[str, str, int]]:
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok is None:
+            raise PolyParseError("unexpected end of expression", len(self.text))
+        self.pos += 1
+        return tok
+
+    def expect_op(self, symbol: str) -> None:
+        tok = self.take()
+        if tok[0] != "op" or tok[1] != symbol:
+            raise PolyParseError(f"expected {symbol!r}", tok[2])
+
+    def parse(self) -> RatPoly:
+        poly = self.expr()
+        tok = self.peek()
+        if tok is not None:
+            raise PolyParseError(f"unexpected {tok[1]!r}", tok[2])
+        return poly
+
+    def expr(self) -> RatPoly:
+        poly = self.term()
+        while True:
+            tok = self.peek()
+            if tok and tok[0] == "op" and tok[1] in "+-":
+                self.pos += 1
+                rhs = self.term()
+                poly = poly + rhs if tok[1] == "+" else poly - rhs
+            else:
+                return poly
+
+    def term(self) -> RatPoly:
+        poly = self.factor()
+        while True:
+            tok = self.peek()
+            if tok and tok[0] == "op" and tok[1] == "*":
+                self.pos += 1
+                poly = poly * self.factor()
+            else:
+                return poly
+
+    def factor(self) -> RatPoly:
+        tok = self.peek()
+        sign = 1
+        while tok and tok[0] == "op" and tok[1] in "+-":
+            if tok[1] == "-":
+                sign = -sign
+            self.pos += 1
+            tok = self.peek()
+        poly = self.atom()
+        tok = self.peek()
+        if tok and tok[0] == "op" and tok[1] == "^":
+            self.pos += 1
+            etok = self.take()
+            if etok[0] != "int":
+                raise PolyParseError(
+                    "exponent must be a nonnegative integer literal", etok[2]
+                )
+            e = int(etok[1])
+            if e > MAX_EXPONENT:
+                raise PolyParseError(f"exponent overflow ({e} > {MAX_EXPONENT})",
+                                     etok[2])
+            poly = poly**e
+        return poly if sign == 1 else -poly
+
+    def atom(self) -> RatPoly:
+        tok = self.take()
+        kind, text, at = tok
+        if kind == "int":
+            value = Fraction(int(text))
+            nxt = self.peek()
+            if nxt and nxt[0] == "op" and nxt[1] == "/":
+                self.pos += 1
+                dtok = self.take()
+                if dtok[0] != "int":
+                    raise PolyParseError("denominator must be an integer",
+                                         dtok[2])
+                if int(dtok[1]) == 0:
+                    raise PolyParseError("division by zero", dtok[2])
+                value /= int(dtok[1])
+            return RatPoly([value])
+        if kind == "x":
+            return X
+        if kind == "op" and text == "(":
+            inner = self.expr()
+            self.expect_op(")")
+            return inner
+        raise PolyParseError(f"unexpected {text!r}", at)
+
+
+def parse_poly(text: str) -> RatPoly:
+    """Exact polynomial from an expression like `(x^2-2)*(x^2-3)`."""
+    if not text.strip():
+        raise PolyParseError("empty polynomial expression", 0)
+    return _PolyParser(text).parse()
+
+
+def parse_rational(text: str) -> Fraction:
+    """Exact rational from `-3`, `5/2`, or similar.
+
+    The error echoes an input of up to ECHO_CAP characters whole, and of
+    a longer one only its first ECHO_CAP characters and its length.
+    """
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        if len(text) <= ECHO_CAP:
+            raise PolyParseError(f"not a rational number: {text!r} ({exc})", 0)
+        raise PolyParseError(
+            f"not a rational number: {text[:ECHO_CAP]!r}... "
+            f"({len(text)} characters, {type(exc).__name__})", 0)
 
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:

@@ -65,19 +65,31 @@ class DiscriminantProfile:
         return f"discriminants={{{discs}}} prime-support=[{support}]{note}"
 
 
+def _factor_tags(poly) -> list[int]:
+    """One tag per irreducible factor of poly, repeated by multiplicity.
+
+    A linear factor is tagged 1 and an irreducible quadratic with the
+    square-free part of its discriminant, which is never 1.  A factor of
+    degree above 2, or one the factorization cannot certify, raises.
+    """
+    tags: list[int] = []
+    for pf in factor(poly).factors:
+        if not pf.certified or pf.poly.degree > 2:
+            raise UnsupportedFactorization(
+                f"cannot certify the factor {pf.poly} "
+                "(degree above 2 or incomplete split)"
+            )
+        tag = 1
+        if pf.poly.degree == 2:
+            tag = squarefree_part(discriminant_quadratic(pf.poly))
+        tags.extend([tag] * pf.multiplicity)
+    return tags
+
+
 def discriminant_profile(seq: HypergeomSeq) -> DiscriminantProfile:
     """Collect Δ = squarefree part of disc over irreducible quadratics."""
-    discs: set[int] = set()
-    for poly in (seq.f, seq.g):
-        fac = factor(poly)
-        for pf in fac.factors:
-            if not pf.certified or pf.poly.degree > 2:
-                raise UnsupportedFactorization(
-                    f"cannot certify the factor {pf.poly} "
-                    "(degree above 2 or incomplete split)"
-                )
-            if pf.poly.degree == 2:
-                discs.add(squarefree_part(discriminant_quadratic(pf.poly)))
+    discs = {d for poly in (seq.f, seq.g) for d in _factor_tags(poly)
+             if d != 1}
     support: set[int] = set()
     for d in discs:
         support.update(factorize(abs(d)) if abs(d) > 1 else ())
@@ -418,3 +430,15 @@ def class_c_check(seq: HypergeomSeq) -> bool:
             for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
         )
     return True
+
+
+def class_d_quadratic_check(seq: HypergeomSeq) -> bool:
+    """Do f and g force divergence through mismatched quadratic data?
+
+    Each irreducible factor (with multiplicity) contributes the
+    square-free part of its discriminant — 1 for a linear factor — and
+    the sequence is divergence-certified iff the two multisets differ:
+    no pairing of parameters can then generate equal number fields with
+    equal discriminant classes.
+    """
+    return sorted(_factor_tags(seq.f)) != sorted(_factor_tags(seq.g))

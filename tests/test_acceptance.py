@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from hyperval.asymmetry import (
     certified_envelope,
-    class_d_quadratic_check,
     find_asymmetric_prime,
     make_certificate,
     slope_fit,
@@ -34,6 +33,7 @@ from hyperval.padic import (
 from hyperval.polyq import RatPoly, radical
 from hyperval.quadratic import (
     DiscriminantProfile,
+    class_d_quadratic_check,
     discriminant_profile,
     equidistribution_sample,
     exists_condition_prime,

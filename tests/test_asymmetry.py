@@ -13,9 +13,7 @@ from hyperval.asymmetry import (
     AsymmetryCertificate,
     SlopeFit,
     certified_envelope,
-    class_d_quadratic_check,
     find_asymmetric_prime,
-    is_p_symmetric,
     make_certificate,
     root_counts,
     scan_primes,
@@ -31,6 +29,7 @@ from hyperval.hyperseq import make_sequence, usable_prime, valuation_profile
 from hyperval.numtheory import INFINITY, legendre, sieve_primes
 from hyperval.padic import count_roots_mod_p, frobenius_root_count, reduce_mod_p
 from hyperval.polyq import RatPoly
+from hyperval.quadratic import class_d_quadratic_check
 
 X = RatPoly([0, 1])
 ONE = RatPoly([1])
@@ -73,9 +72,11 @@ class TestRootCounts:
 
 class TestIsPSymmetric:
     def test_verdicts(self, sq_pair):
-        assert is_p_symmetric(sq_pair, 5)
-        assert not is_p_symmetric(sq_pair, 7)
-        assert not is_p_symmetric(sq_pair, 11)
+        # p-symmetric: f and g have equally many roots mod p
+        outcomes = dict(scan_primes(sq_pair, 5, 11))
+        assert outcomes[5] == "symmetric"
+        assert isinstance(outcomes[7], AsymmetryCertificate)
+        assert isinstance(outcomes[11], AsymmetryCertificate)
 
 
 class TestMakeCertificate:
@@ -375,8 +376,6 @@ class TestEnvelope:
         env_s = certified_envelope(make_certificate(sq_pair, 7), sq_pair)
         assert [env_f.bound_index(t) for t in (0, 3, 7)] == [6, 10, 14]
         assert [env_s.bound_index(t) for t in (0, 3, 7)] == [43, 53, 67]
-        assert env_f.crossover() == 6
-        assert env_s.crossover() == 43
 
     def test_bound_index_covers_every_small_valuation(self, sq_pair):
         # Past n0 the certified bound exceeds tau, so indices with

@@ -12,11 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperval
-from hyperval.cli import MAX_EXPONENT, main, parse_poly, parse_rational
+from hyperval.cli import main
 from hyperval.errors import PolyParseError
 from hyperval.hyperseq import make_sequence, term
 from hyperval.padic import hensel_lift, zero_run_length
-from hyperval.polyq import RatPoly
+from hyperval.polyq import (
+    ECHO_CAP,
+    MAX_EXPONENT,
+    RatPoly,
+    parse_poly,
+    parse_rational,
+)
 
 X = RatPoly([0, 1])
 
@@ -91,6 +97,32 @@ class TestParseRational:
             with pytest.raises(PolyParseError):
                 parse_rational(bad)
 
+    def test_short_input_echoed_whole(self):
+        bad = "y" * ECHO_CAP
+        with pytest.raises(PolyParseError) as exc:
+            parse_rational(bad)
+        assert str(exc.value) == (
+            f"syntax error at position 0: not a rational number: {bad!r} "
+            f"(Invalid literal for Fraction: {bad!r})")
+
+    def test_long_input_truncated(self):
+        bad = "y" * (ECHO_CAP + 1)
+        with pytest.raises(PolyParseError) as exc:
+            parse_rational(bad)
+        assert str(exc.value) == (
+            "syntax error at position 0: "
+            f"not a rational number: {bad[:ECHO_CAP]!r}... "
+            f"({ECHO_CAP + 1} characters, ValueError)")
+
+    def test_digit_limit_error_stays_short(self):
+        # past the interpreter's 4,300-digit limit on int conversion
+        target = "7" * 5000
+        code, out, err = run("membership", "--f", "1", "--g", "x",
+                             "--u0", "1", "--target", target)
+        assert (code, out) == (1, "")
+        assert len(err) < 200
+        assert f"({len(target)} characters, ValueError)" in err
+
 
 class TestValidate:
     def test_human(self):
@@ -107,7 +139,7 @@ class TestValidate:
                            "--f", "1", "--g", "x", "--u0", "1")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "# hyperval csv 1"
+        assert lines[0] == "# hyperval csv 2"
         assert lines[1].startswith("f,g,u0,")
         assert lines[2] == "1,x,1,false,none,false,false"
 
@@ -128,13 +160,13 @@ class TestTerms:
         code, out, _ = run("--format", "csv", "terms", "--f", "x+2",
                            "--g", "x+1", "--u0", "1", "--n", "2")
         assert out.splitlines() == [
-            "# hyperval csv 1", "n,u_n", "0,1", "1,2/3", "2,1/2"]
+            "# hyperval csv 2", "n,u_n", "0,1", "1,2/3", "2,1/2"]
 
     def test_structured(self):
         code, out, _ = run("--format", "structured-text", "terms",
                            "--f", "x+2", "--g", "x+1", "--u0", "1", "--n", "2")
         assert out.splitlines() == [
-            "# hyperval structured-text 1",
+            "# hyperval structured-text 2",
             "term: n=0 u=1", "term: n=1 u=2/3", "term: n=2 u=1/2"]
 
     @pytest.mark.parametrize("fmt", ["human", "csv", "structured-text"])
@@ -161,7 +193,7 @@ class TestHeightAndValuation:
         code, out, _ = run("--format", "csv", "height", "--f", "1",
                            "--g", "2", "--u0", "1", "--nmax", "2")
         assert out.splitlines() == [
-            "# hyperval csv 1", "n,height",
+            "# hyperval csv 2", "n,height",
             "0,0", "1,0.69314718056", "2,1.38629436112"]
 
     def test_height_human_growth_line(self):
@@ -262,19 +294,17 @@ class TestMembership:
         assert lines[2].startswith("certificate: asymmetry-certificate: p=7")
         assert lines[3] == "cutoff n0 = 29"
         assert lines[4] == "terms checked: 6"
-        assert lines[5].startswith("wall time: ")
+        assert len(lines) == 5
 
     def test_csv(self):
         code, out, _ = run("--format", "csv", "membership", "--f", "1",
                            "--g", "x", "--u0", "1", "--target", "120")
         lines = out.splitlines()
-        assert lines[0] == "# hyperval csv 1"
+        assert lines[0] == "# hyperval csv 2"
         assert lines[1] == (
-            "outcome,witness,n0,terms_checked,wall_time,cert_p,cert_slope,"
-            "reason")
+            "outcome,witness,n0,terms_checked,cert_p,cert_slope,reason")
         cols = lines[2].split(",")
-        assert cols[:4] == ["yes", "5", "29", "6"]
-        assert cols[5:] == ["7", "1/6", ""]
+        assert cols == ["yes", "5", "29", "6", "7", "1/6", ""]
 
     def test_structured(self):
         code, out, _ = run("--format", "structured-text", "membership",
@@ -311,7 +341,7 @@ class TestEquidist:
         code, out, _ = run("--format", "csv", "equidist", "--delta", "2",
                            "--plimit", "3000", "--bins", "4")
         assert out.splitlines() == [
-            "# hyperval csv 1",
+            "# hyperval csv 2",
             "0.000000,0.250000,0.25238095",
             "0.250000,0.500000,0.24761905",
             "0.500000,0.750000,0.24761905",
@@ -418,3 +448,45 @@ class TestSequenceSources:
         code, out, _ = run("terms", "--seq-file", str(spec), "--n", "1")
         assert code == 0
         assert out.splitlines() == ["u_0 = 1", "u_1 = 2/3"]
+
+
+SQ = ["--f", "x^2-2", "--g", "x^2-3", "--u0", "1"]
+EVERY_SUBCOMMAND = {
+    "validate": ["validate", *SQ],
+    "terms": ["terms", *SQ, "--n", "30"],
+    "height": ["height", *SQ, "--nmax", "40", "--stride", "5"],
+    "valuation": ["valuation", *SQ, "--p", "7", "--nmax", "40"],
+    "regularize": ["regularize", "--f", "(x+2)*(x^2-2)", "--g", "x+1",
+                   "--u0", "1"],
+    "asymmetry": ["asymmetry", *SQ, "--pmax", "100"],
+    "classify": ["classify", *SQ, "--pmax", "1000"],
+    # a scan to n0 = 14216 takes long enough for a clock to show
+    "membership": ["membership", *SQ, "--target", "7/5",
+                   "--forced-prime", "2797"],
+    "equidist": ["equidist", "--delta", "2", "--plimit", "2000"],
+    "padic": ["padic", "--poly", "x^2-2", "--p", "7", "--digits", "8"],
+}
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("fmt", ["csv", "structured-text"])
+    @pytest.mark.parametrize("name", sorted(EVERY_SUBCOMMAND))
+    def test_identical_invocations_identical_stdout(self, name, fmt):
+        argv = ["--format", fmt, *EVERY_SUBCOMMAND[name]]
+        first, second = run(*argv), run(*argv)
+        assert first[0] == 0
+        assert first[1].startswith(f"# hyperval {fmt} 2\n")
+        assert first[1] == second[1]
+
+
+def test_spec_parsing_leaves_the_cli_unloaded():
+    # the grammar lives in polyq, below every command-line module
+    src = os.path.dirname(os.path.dirname(hyperval.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hyperval; "
+         "hyperval.parse_sequence_spec('f = 1; g = x; u0 = 1'); "
+         "assert 'hyperval.cli' not in sys.modules, 'cli was imported'"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr

@@ -12,7 +12,7 @@ from hyperval import asymmetry, membership, numtheory, padic, polyq
 from hyperval.asymmetry import find_asymmetric_prime, scan_primes
 from hyperval.errors import InvalidF
 from hyperval.hyperseq import make_sequence, step_polys, term
-from hyperval.membership import MembershipConfig, decide, decide_batch
+from hyperval.membership import MembershipConfig, decide
 from hyperval.numtheory import fraction_valuation, int_valuation
 from hyperval.polyq import RatPoly, int_eval
 
@@ -25,7 +25,6 @@ class TestYesVerdicts:
     def test_factorial_120(self, factorial):
         v = decide(factorial, 120)
         assert v.outcome == "yes"
-        assert v.is_yes
         assert v.witness == 5
         # 2, 3, 5 all divide 120, so the certificate climbs to 7
         assert v.certificate.p == 7
@@ -186,7 +185,6 @@ class TestNoVerdicts:
     def test_factorial_100(self, factorial):
         v = decide(factorial, 100)
         assert v.outcome == "no"
-        assert not v.is_yes
         assert v.certificate is not None
         assert v.certificate.p not in (2, 5)  # coprimality steering
         assert v.terms_checked == v.bound_n0
@@ -366,35 +364,22 @@ def test_corpus_search_makes_no_polynomial_arithmetic(certified_corpus,
 
 
 class TestBatchAndRecords:
-    def test_batch(self, factorial, sym_pair, eventually_zero):
-        out = decide_batch(
-            [(factorial, 120), (factorial, 100), (sym_pair, 5),
-             (eventually_zero, 0)],
-            SMALL,
-        )
-        assert len(out) == 4
-        assert (out[0].outcome, out[0].witness) == ("yes", 5)
-        assert out[1].outcome == "no"
-        assert out[2].outcome == "unsupported"
-        assert (out[3].outcome, out[3].witness) == ("yes", 3)
-        assert decide_batch([]) == []
-
     def test_record_shape(self, factorial):
         rec = decide(factorial, 120).to_record()
         assert rec.startswith("membership: outcome=yes witness=5")
-        assert "wall_time=" in rec
+        assert "wall_time" not in rec
         assert "asymmetry-certificate" in rec
 
     def test_unsupported_record(self, sym_pair):
         v = decide(sym_pair, 5, SMALL)
         assert "outcome=unsupported" in v.to_record()
-        # reasons are comma-free so the csv stays eight columns
-        assert v.csv_row().count(",") == 7
+        # reasons are comma-free so the csv stays seven columns
+        assert v.csv_row().count(",") == 6
 
     def test_csv_row(self, factorial):
         row = decide(factorial, 120).csv_row()
         cols = row.split(",")
-        assert len(cols) == 8
+        assert len(cols) == 7
         assert cols[:2] == ["yes", "5"]
 
 

@@ -21,7 +21,6 @@ from hyperval.numtheory import (
     sieve_primes,
     sqrt_mod,
     squarefree_part,
-    weil_height,
     weil_height_exact,
 )
 
@@ -247,11 +246,11 @@ class TestHeights:
     ])
     def test_exact(self, x, mag):
         assert weil_height_exact(x) == mag
-        assert weil_height(x) == pytest.approx(math.log(mag))
 
     def test_height_of_zero_and_one(self):
-        assert weil_height(0) == 0.0
-        assert weil_height(1) == 0.0
+        # H = 1, so h = log H = 0
+        assert weil_height_exact(0) == 1
+        assert weil_height_exact(1) == 1
 
 
 class TestPrimes:

@@ -10,7 +10,6 @@ from hyperval.errors import (
 )
 from hyperval.padic import (
     count_roots_mod_p,
-    digit_frequency,
     hensel_lift,
     is_hensel_prime,
     reduce_mod_p,
@@ -185,26 +184,6 @@ class TestZeroRun:
         five = hensel_lift(X - RatPoly([5]), 3, 2, 4)
         with pytest.raises(ValueError):
             zero_run_length(five, -1)
-
-
-class TestDigitFrequency:
-    def test_frequencies_sum_to_one(self):
-        root = hensel_lift(X * X - RatPoly([2]), 7, 3, 200)
-        freq = digit_frequency(root, 1)
-        assert sum(freq.values()) == pytest.approx(1.0)
-        assert all(len(k) == 1 for k in freq)
-
-    def test_pattern_length_two(self):
-        root = hensel_lift(X * X - RatPoly([2]), 7, 3, 200)
-        freq = digit_frequency(root, 2)
-        assert sum(freq.values()) == pytest.approx(1.0)
-        assert all(len(k) == 2 for k in freq)
-
-    def test_known_expansion(self):
-        # 1/3 in base 7 has digits 5, 4, 4, 4, ... (3*(5+4*7+4*49+...) = 1)
-        root = hensel_lift(X - RatPoly([Fraction(1, 3)]), 7, 5, 64)
-        freq = digit_frequency(root, 1)
-        assert freq[(4,)] == pytest.approx(63 / 64)
 
 
 class TestValuationAtPrimePower:

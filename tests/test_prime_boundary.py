@@ -12,7 +12,6 @@ import pytest
 
 from hyperval import asymmetry, numtheory
 from hyperval.asymmetry import (
-    is_p_symmetric,
     make_certificate,
     root_counts,
     slope_fit,
@@ -63,7 +62,6 @@ PUBLIC = {
     "valuation_profile": lambda seq, p: valuation_profile(seq, p, 5),
     "slope_fit": lambda seq, p: slope_fit(seq, p, 40),
     "root_counts": root_counts,
-    "is_p_symmetric": is_p_symmetric,
     "make_certificate": make_certificate,
     "decide(forced_prime)":
         lambda seq, p: decide(seq, 120, MembershipConfig(forced_prime=p)),
