@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import mul, sub, truediv
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import NotHenselPrime, UnsupportedInput
 from .hyperseq import HypergeomSeq, usable_prime, valuation_profile
@@ -190,17 +190,15 @@ def find_asymmetric_prime(
     p_min: int = 2,
     p_max: int = 10_000,
     coprime_with: Sequence[Rational] = (),
-    outcomes: Optional[Iterable[tuple[int, Outcome]]] = None,
 ) -> ScanResult:
-    """Smallest trustworthy prime with unequal root counts, with stats
-    (outcomes replays a scan_primes walk of the range already made)."""
+    """Smallest trustworthy prime with unequal root counts, with the
+    counts of the scan_primes outcomes up to it (all of them when the
+    range holds no such prime)."""
     if p_min < 2:
         raise ValueError("p_min must be >= 2")
-    if outcomes is None:
-        outcomes = scan_primes(seq, p_min, p_max, coprime_with)
     counts: Counter[str] = Counter()
     cert = None
-    for _, outcome in outcomes:
+    for _, outcome in scan_primes(seq, p_min, p_max, coprime_with):
         if not isinstance(outcome, str):
             cert = outcome
             break

@@ -2,8 +2,8 @@
 
 The certified route: find a prime p where root counts of f and g differ
 (so |ν_p(uₙ)| grows linearly along the sequence) and p divides neither
-u₀ nor the target t.  The envelope then yields an index n₀ with
-|ν_p(uₙ)| > |ν_p(t)| for every n ≥ n₀ — beyond it uₙ = t is impossible
+u₀ nor the target t, so ν_p(t) = 0.  The envelope then yields an index
+n₀ with |ν_p(uₙ)| > 0 for every n ≥ n₀ — beyond it uₙ = t is impossible
 — and the finite prefix is scanned exhaustively.  The scan filters the
 prefix with one residue pair of the cross-multiplied identity modulo a
 product of two Mersenne primes, carried by lazy itertools chains; any
@@ -11,8 +11,8 @@ index surviving the filter is re-verified with a fresh exact term, so
 filter collisions cost time, never correctness.
 
 Eventually-zero sequences (u₀ = 0 or g with a positive integer root)
-are decided directly from their finite nonzero prefix, and t = 0 is
-answered from the validation flags alone.
+are decided by the same scan over their finite nonzero prefix, and
+t = 0 is answered from the validation flags alone.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .asymmetry import (
     scan_primes,
 )
 from .errors import NotHenselPrime, UnsupportedInput
-from .hyperseq import HypergeomSeq, TermCursor, step_polys, term
-from .numtheory import Rational, fraction_valuation
+from .hyperseq import HypergeomSeq, step_polys, term
+from .numtheory import Rational
 from .polyq import int_values
 
 # filter modulus: a product of two Mersenne primes, so by CRT a residue
@@ -100,24 +100,23 @@ def _best_certificate(
     Scans primes in increasing order but keeps the certificate with the
     largest |slope| (ties to the smaller prime): a steep slope shrinks
     n₀.  Stops early once no later prime can beat the current best,
-    since |m_g − m_f| ≤ max(deg f, deg g) caps future slopes.  An empty
-    scan reports its counts from the same pass.
+    since |m_g − m_f| ≤ max(deg f, deg g) caps future slopes.  When no
+    prime qualifies, the reason carries the counts of
+    find_asymmetric_prime over the same range.
     """
     if config.forced_prime is not None:
         return make_certificate(seq, config.forced_prime, coprime_with=(t,))
     maxdeg = seq.max_degree
     best = None
-    passed = []  # replayed below if no certificate turns up
     for p, outcome in scan_primes(seq, 2, config.prime_cap, coprime_with=(t,)):
         if isinstance(outcome, str):
-            passed.append((p, outcome))
             continue
         if best is None or outcome.A > best.A:
             best = outcome
         if best.A >= Fraction(maxdeg, outcome.p):
             break
     if best is None:
-        scan = find_asymmetric_prime(seq, 2, config.prime_cap, (t,), passed)
+        scan = find_asymmetric_prime(seq, 2, config.prime_cap, (t,))
         raise UnsupportedInput("no usable asymmetric prime below the cap; "
                                + scan.summary())
     # the scan's root-count plan only chooses the prime; the verdict
@@ -147,9 +146,9 @@ def decide(seq: HypergeomSeq, t: Union[Rational, int],
         return MembershipVerdict("unsupported", reason=str(exc))
 
     envelope = certified_envelope(cert, seq)
-    vt = abs(int(fraction_valuation(t, cert.p)))  # cert.p is a checked prime
     try:
-        n0 = envelope.bound_index(vt, max_n=config.term_cap)
+        # τ = |ν_p(t)| = 0: the certificate's prime is coprime to t
+        n0 = envelope.bound_index(0, max_n=config.term_cap)
     except UnsupportedInput as exc:
         return MembershipVerdict("unsupported", reason=str(exc),
                                  certificate=cert)
@@ -159,7 +158,7 @@ def decide(seq: HypergeomSeq, t: Union[Rational, int],
         return _yes(hit, certificate=cert, bound_n0=n0, checked=hit + 1)
     return MembershipVerdict(
         "no", certificate=cert, bound_n0=n0, terms_checked=n0,
-        reason=f"|v_{cert.p}| exceeds {vt} for all n >= {n0}; "
+        reason=f"|v_{cert.p}| exceeds 0 for all n >= {n0}; "
                "prefix scanned exhaustively",
     )
 
@@ -184,12 +183,9 @@ def _decide_degenerate(seq: HypergeomSeq, t: Fraction,
             reason=f"nonzero prefix of length {first_zero} exceeds the "
                    f"term cap {config.term_cap}",
         )
-    cur = TermCursor(seq)
-    for n in range(first_zero):
-        if n > 0:
-            cur.advance()
-        if (cur.num, cur.den) == (t.numerator, t.denominator):
-            return _yes(n, checked=n + 1)
+    hit = _scan_prefix(seq, t, first_zero)
+    if hit is not None:
+        return _yes(hit, checked=hit + 1)
     return MembershipVerdict(
         "no", terms_checked=first_zero,
         reason=f"target differs from the {first_zero} nonzero terms and "

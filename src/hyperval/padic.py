@@ -4,7 +4,8 @@ Covers reduction of rational polynomials mod p, root counting in the
 p-element field via gcd with x^p - x, detection of primes where every
 root lifts uniquely, Newton/Hensel lifting to prime-power precision, and
 digit-level diagnostics of lifted roots (zero runs and the valuation
-identity at n = p^s that ties digit runs to ν_p(u_n)).
+identity at n = p^s that ties digit runs to ν_p(u_n), over the roots
+of Yun's square-free parts of f and g).
 Public functions check that p is prime; the kernels on reduced lists
 (reduce_mod_p, frobenius_root_count, is_squarefree_mod_p) trust it.
 """
@@ -22,7 +23,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .numtheory import fraction_valuation, mod_rep, require_prime
-from .polyq import RatPoly, poly_gcd
+from .polyq import RatPoly, _yun
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .hyperseq import HypergeomSeq
@@ -192,13 +193,12 @@ def _newton_root(f: RatPoly, F: list[int], p: int, r: int, prec: int,
     return PadicRoot(p, k, value, digits + tuple(new_digits), f)
 
 
-def zero_run_length(root: PadicRoot, s: int,
-                    max_digits: int = DEFAULT_DIGIT_CAP) -> int:
+def zero_run_length(root: PadicRoot, s: int) -> int:
     """Length of the zero-digit run starting at digit index s.
 
     Lifts more digits on demand (doubling) so the run provably ends
-    within the reported length; PrecisionExhausted once max_digits is
-    reached without seeing a nonzero digit.
+    within the reported length; PrecisionExhausted once DEFAULT_DIGIT_CAP
+    digits are lifted without a nonzero digit.
     """
     if s < 0:
         raise ValueError("digit index must be nonnegative")
@@ -206,13 +206,13 @@ def zero_run_length(root: PadicRoot, s: int,
     j = s
     while True:
         if j >= root.precision:
-            if root.precision >= max_digits:
+            if root.precision >= DEFAULT_DIGIT_CAP:
                 raise PrecisionExhausted(
                     f"zero run at index {s} still open at the "
-                    f"{max_digits}-digit lifting cap"
+                    f"{DEFAULT_DIGIT_CAP}-digit lifting cap"
                 )
             root = root.lift_to(min(max(2 * root.precision, j + 1),
-                                    max_digits))
+                                    DEFAULT_DIGIT_CAP))
             continue
         if root.digits[j] != 0:
             return run
@@ -231,46 +231,30 @@ def _strip_zero_roots(f: RatPoly) -> tuple[RatPoly, int]:
     return RatPoly(f.coeffs[v:]), v
 
 
-def _root_multiplicity(f: RatPoly, p: int, a: int) -> int:
-    """Multiplicity of the root a of f mod p (via repeated division)."""
-    c = reduce_mod_p(f, p)
-    lin = [(-a) % p, 1]
-    mult = 0
-    while _fp.deg(c) >= 1:
-        q, r = _fp.divmod_(c, lin, p)
-        if r:
-            break
-        mult += 1
-        c = q
-    return mult
-
-
-def _c_count(root: PadicRoot, s: int, p: int,
-             max_digits: int = DEFAULT_DIGIT_CAP) -> tuple[int, PadicRoot]:
+def _c_count(root: PadicRoot, s: int, p: int) -> int:
     """#{r > s : 1 ≤ (root mod p^r) ≤ p^s}: the digit-run count feeding
-    the valuation identity.  Returns the count and the (possibly deeper)
-    lift used, so callers can reuse precision."""
+    the valuation identity."""
     ps = p**s
     count = 0
     r = s + 1
     while True:
-        if r > max_digits:
+        if r > DEFAULT_DIGIT_CAP:
             raise PrecisionExhausted(
-                f"truncation scan passed the {max_digits}-digit cap"
+                f"truncation scan passed the {DEFAULT_DIGIT_CAP}-digit cap"
             )
         if root.precision < r:
-            root = root.lift_to(min(max(2 * root.precision, r), max_digits))
+            root = root.lift_to(min(max(2 * root.precision, r),
+                                    DEFAULT_DIGIT_CAP))
         tau = root.value % p**r
         if tau > ps:
-            return count, root
+            return count
         if tau >= 1:
             count += 1
         r += 1
 
 
-def valuation_at_prime_power(
-    seq: "HypergeomSeq", p: int, s: int, include_u0: bool = False
-) -> tuple[int, int]:
+def valuation_at_prime_power(seq: "HypergeomSeq", p: int,
+                             s: int) -> tuple[int, int]:
     """ν_p(u_{p^s}) computed two independent ways: (direct, digit formula).
 
     Direct: term_valuation, which sums ν_p(g(m)) − ν_p(f(m)) over
@@ -279,8 +263,15 @@ def valuation_at_prime_power(
     minus the same over roots α of f — the per-root count being the
     number of precisions r > s at which the truncated root lies in
     [1, p^s], which for a root with nonzero digit at index s−… reduces
-    to the length of its zero-digit run.  Requires the same number of
-    roots mod p on both sides so the coarse layers cancel.
+    to the length of its zero-digit run.  Requires a usable prime, the
+    same number of roots mod p on both sides so the coarse layers
+    cancel, and u₀ a p-adic unit.
+
+    Roots come from Yun's square-free parts of f and g, x^v split off.
+    Past the usable_prime gate the parts are square-free and pairwise
+    coprime mod p (as in hyperseq._roots_of_parts), so each root of a
+    part of multiplicity e is simple and counts e times; x^v counts v
+    roots, and its exact root 0 adds no digits: its truncations are 0.
     """
     from .hyperseq import term_valuation, usable_prime
 
@@ -290,34 +281,25 @@ def valuation_at_prime_power(
         raise NotHenselPrime(
             f"{p} is unusable: root structure of f·g is not clean mod {p}"
         )
-    mf = count_roots_mod_p(seq.f, p)
-    mg = count_roots_mod_p(seq.g, p)
+    counts = []
+    roots = []  # (signed weight, square-free part, root mod p)
+    for poly, sign in ((seq.f, -1), (seq.g, +1)):
+        rest, m = _strip_zero_roots(poly)
+        for part, e in _yun(rest.monic()):
+            for a in roots_mod_p(part, p):
+                m += e
+                roots.append((sign * e, part, a))
+        counts.append(m)
+    mf, mg = counts
     if mf != mg:
         raise ValueError(
             f"digit identity needs equal root counts; got {mf} vs {mg}"
         )
-    v0 = fraction_valuation(seq.u0, p)  # usable_prime checked p
-    if not include_u0 and v0 != 0:
-        raise ValueError(
-            "u0 must be a p-adic unit (or pass include_u0=True)"
-        )
+    if fraction_valuation(seq.u0, p) != 0:  # usable_prime checked p
+        raise ValueError("u0 must be a p-adic unit")
 
     direct = term_valuation(seq, p**s, p)
-
     start = max(2 * s, 4)
-    digit_side = 0
-    for poly, sign in ((seq.g, +1), (seq.f, -1)):
-        stripped, _v = _strip_zero_roots(poly)
-        # exact roots at 0 contribute nothing: their truncations are 0
-        # at every precision, never landing in [1, p^s]
-        if stripped.degree >= 1:
-            sqfree = (stripped // poly_gcd(stripped,
-                                           stripped.derivative())).monic()
-            for a in roots_mod_p(sqfree, p):
-                root = hensel_lift(sqfree, p, a, start)
-                mult = _root_multiplicity(poly, p, a)
-                cnt, root = _c_count(root, s, p)
-                digit_side += sign * mult * cnt
-    if include_u0:
-        digit_side += int(v0)
+    digit_side = sum(weight * _c_count(hensel_lift(part, p, a, start), s, p)
+                     for weight, part, a in roots)
     return int(direct), digit_side

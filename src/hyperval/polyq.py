@@ -28,7 +28,7 @@ from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _fp
-from .errors import PolyParseError
+from .errors import PolyParseError, UnsupportedInput
 from .numtheory import Rational, factorize, sieve_primes
 
 _MAX_DIVISOR_CANDIDATES = 200_000
@@ -302,7 +302,7 @@ class _PolyParser:
         poly = self.expr()
         tok = self.peek()
         if tok is not None:
-            raise PolyParseError(f"unexpected {tok[1]!r}", tok[2])
+            raise PolyParseError(f"unexpected {_echo(tok[1])}", tok[2])
         return poly
 
     def expr(self) -> RatPoly:
@@ -372,7 +372,7 @@ class _PolyParser:
             inner = self.expr()
             self.expect_op(")")
             return inner
-        raise PolyParseError(f"unexpected {text!r}", at)
+        raise PolyParseError(f"unexpected {_echo(text)}", at)
 
 
 def parse_poly(text: str) -> RatPoly:
@@ -383,19 +383,24 @@ def parse_poly(text: str) -> RatPoly:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact rational from `-3`, `5/2`, or similar.
-
-    The error echoes an input of up to ECHO_CAP characters whole, and of
-    a longer one only its first ECHO_CAP characters and its length.
-    """
+    """Exact rational from `-3`, `5/2`, or similar."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        if len(text) <= ECHO_CAP:
-            raise PolyParseError(f"not a rational number: {text!r} ({exc})", 0)
-        raise PolyParseError(
-            f"not a rational number: {text[:ECHO_CAP]!r}... "
-            f"({len(text)} characters, {type(exc).__name__})", 0)
+        raise PolyParseError(f"not a rational number: {_echo(text, exc)}", 0)
+
+
+def _echo(text: str, exc: Optional[Exception] = None) -> str:
+    """Bad input quoted for an error message, with exc's message.
+
+    An input of up to ECHO_CAP characters is quoted whole; a longer one
+    by its first ECHO_CAP characters, '...' and its length, and exc by
+    its type only, since the interpreter's message can repeat the input.
+    """
+    if len(text) <= ECHO_CAP:
+        return repr(text) if exc is None else f"{text!r} ({exc})"
+    note = "" if exc is None else f", {type(exc).__name__}"
+    return f"{text[:ECHO_CAP]!r}... ({len(text)} characters{note})"
 
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
@@ -433,17 +438,6 @@ class FactoredPoly:
         for f in self.factors:
             out = out * f.poly ** f.multiplicity
         return out
-
-    def __str__(self):
-        if not self.factors:
-            return str(self.unit)
-        parts = [] if self.unit == 1 else [str(self.unit)]
-        for f in self.factors:
-            body = f"({f.poly})"
-            if f.multiplicity > 1:
-                body += f"^{f.multiplicity}"
-            parts.append(body)
-        return " * ".join(parts)
 
 
 def _canonical_key(p: RatPoly):
@@ -606,6 +600,26 @@ def _int_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, r
 
 
+def _integer_roots(c: list[int]) -> Optional[list[int]]:
+    """The integer roots of the integer polynomial c, of degree ≥ 1 with
+    c[0] ≠ 0, by increasing |r| and r before −r; or None when there are
+    too many candidates to enumerate.
+
+    A root r divides c[0] and |r| < max|c| // |lc| + 2 (Cauchy's bound),
+    and r − 1 divides c(1) and r + 1 divides c(−1); the survivors are
+    evaluated exactly.  No float is formed, whatever the coefficients.
+    """
+    bound = max(abs(a) for a in c) // abs(c[-1]) + 2
+    divs = _divisors_upto(c[0], bound)
+    if divs is None:
+        return None
+    c1, cm1 = int_eval(c, 1), int_eval(c, -1)
+    return [r for d in sorted(divs) for r in (d, -d)
+            if (r == 1 or c1 % (r - 1) == 0)
+            and (r == -1 or cm1 % (r + 1) == 0)
+            and int_eval(c, r) == 0]
+
+
 def _factor_monic_int(H: list[int], out: list[tuple[list[int], bool]]) -> None:
     """Factor monic square-free integer H; append (coeffs, certified)."""
     deg = len(H) - 1
@@ -615,26 +629,13 @@ def _factor_monic_int(H: list[int], out: list[tuple[list[int], bool]]) -> None:
         out.append((H, True))
         return
 
-    # Integer roots: divisors of the constant term inside the Cauchy bound.
-    const = H[0]
-    bound = 1 + max(abs(c) for c in H)
-    divs = _divisors_upto(const, bound)
-    if divs is not None:
-        h1 = int_eval(H, 1)
-        hm1 = int_eval(H, -1)
-        for d in sorted(divs):
-            for r in (d, -d):
-                # cheap filters: (r - 1) | H(1) and (r + 1) | H(-1)
-                if r != 1 and h1 % (r - 1) != 0:
-                    continue
-                if r != -1 and hm1 % (r + 1) != 0:
-                    continue
-                while int_eval(H, r) == 0:
-                    out.append(([-r, 1], True))
-                    H, rem = _int_divmod(H, [-r, 1])
-                    assert not rem
-                    if len(H) - 1 <= 0:
-                        return
+    roots = _integer_roots(H)
+    if roots is not None:
+        # H is square-free, so each root divides out once
+        for r in roots:
+            out.append(([-r, 1], True))
+            H, rem = _int_divmod(H, [-r, 1])
+            assert not rem
         deg = len(H) - 1
 
     if deg == 0:
@@ -857,31 +858,27 @@ def shift_equivalent(h: RatPoly, h2: RatPoly) -> Optional[int]:
 
 
 def nonnegative_integer_roots(p: RatPoly) -> list[int]:
-    """Sorted distinct integer roots n >= 0 of p (p nonzero)."""
+    """Sorted distinct integer roots n >= 0 of p (p nonzero).
+
+    Raises UnsupportedInput when the constant term left after the
+    powers of x has too many divisors inside the root bound to test.
+    """
     if p.is_zero:
         raise ValueError("the zero polynomial has every root")
-    roots = []
     coeffs = list(p.coeffs)
     nz = 0
     while coeffs[nz] == 0:
         nz += 1
-    if nz:
-        roots.append(0)
-        coeffs = coeffs[nz:]
-    ic, _L = RatPoly(coeffs).to_integer()
+    roots = [0] if nz else []
+    ic, _L = RatPoly(coeffs[nz:]).to_integer()
     if len(ic) == 1:
         return roots
-    bound_f = 1 + max(abs(c) for c in ic) / abs(ic[-1])
-    bound = int(bound_f) + 1
-    divs = _divisors_upto(ic[0], bound)
-    if divs is None:
-        # fall back to direct scan within the root bound
-        divs = list(range(1, bound + 1))
-    poly = RatPoly(coeffs)
-    for d in sorted(set(divs)):
-        if poly(d) == 0:
-            roots.append(d)
-    return sorted(set(roots))
+    found = _integer_roots(ic)
+    if found is None:
+        raise UnsupportedInput(
+            "integer roots: the constant term has more than "
+            f"{_MAX_DIVISOR_CANDIDATES} divisors inside the root bound")
+    return roots + [r for r in found if r > 0]
 
 
 def positive_integer_roots(p: RatPoly) -> list[int]:
@@ -905,11 +902,11 @@ class RationalFunction:
     """A rational function kept in factored form.
 
     unit * prod(numer_factors) / prod(denom_factors); factors are
-    (RatPoly, positive exponent) pairs.  ``numer``/``denom`` expand
-    lazily to a coprime pair with monic denominator.
+    (RatPoly, positive exponent) pairs.  It evaluates exactly at a
+    rational point and prints in this factored form.
     """
 
-    __slots__ = ("unit", "numer_factors", "denom_factors", "_expanded")
+    __slots__ = ("unit", "numer_factors", "denom_factors")
 
     def __init__(
         self,
@@ -920,7 +917,6 @@ class RationalFunction:
         self.unit = Fraction(unit)
         self.numer_factors = tuple((q, int(e)) for q, e in numer_factors)
         self.denom_factors = tuple((q, int(e)) for q, e in denom_factors)
-        self._expanded: Optional[tuple[RatPoly, RatPoly]] = None
 
     def __call__(self, x: Rational | int) -> Fraction:
         num = self.unit
@@ -930,44 +926,6 @@ class RationalFunction:
         for q, e in self.denom_factors:
             den *= q(x) ** e
         return num / den
-
-    def _expand(self) -> tuple[RatPoly, RatPoly]:
-        if self._expanded is None:
-            num = RatPoly([self.unit])
-            for q, e in self.numer_factors:
-                num = num * q**e
-            den = ONE
-            for q, e in self.denom_factors:
-                den = den * q**e
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            if not den.is_zero and den.leading != 1:
-                num = num * (1 / den.leading)
-                den = den.monic()
-            self._expanded = (num, den)
-        return self._expanded
-
-    @property
-    def numer(self) -> RatPoly:
-        return self._expand()[0]
-
-    @property
-    def denom(self) -> RatPoly:
-        return self._expand()[1]
-
-    @property
-    def degree(self) -> int:
-        """max(deg numerator, deg denominator) after cancellation."""
-        num, den = self._expand()
-        return max(num.degree, den.degree)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        a_n, a_d = self._expand()
-        b_n, b_d = other._expand()
-        return a_n == b_n and a_d == b_d
 
     def __str__(self):
         def side(factors):

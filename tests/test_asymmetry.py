@@ -228,9 +228,6 @@ class TestScanOutcomes:
                 break
         scan = find_asymmetric_prime(seq, p_min, p_max, coprime_with)
         assert scan.certificate == first
-        # replaying the walk gives the same result without a second scan
-        assert find_asymmetric_prime(seq, p_min, p_max, coprime_with,
-                                     outcomes=got) == scan
         assert (scan.tested, scan.symmetric, scan.unusable, scan.excluded) \
             == (tally["symmetric"] + (first is not None), tally["symmetric"],
                 tally["unusable"], tally["excluded"])

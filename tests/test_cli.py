@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import hyperval
 from hyperval.cli import main
 from hyperval.errors import PolyParseError
 from hyperval.hyperseq import make_sequence, term
+from hyperval.numtheory import sieve_primes
 from hyperval.padic import hensel_lift, zero_run_length
 from hyperval.polyq import (
     ECHO_CAP,
@@ -73,6 +75,23 @@ class TestParsePoly:
             with pytest.raises(PolyParseError) as exc:
                 parse_poly(text)
             assert exc.value.position == pos, text
+
+    def test_short_token_echoed_whole(self):
+        bad = "1" * ECHO_CAP
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(f"x {bad}")
+        assert str(exc.value) == (
+            f"syntax error at position 2: unexpected {bad!r}")
+
+    def test_long_token_truncated(self):
+        bad = "1" * 3000
+        code, out, err = run("terms", "--f", f"x {bad}", "--g", "x",
+                             "--u0", "1", "--n", "1")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: type=PolyParseError position=2 message=syntax error "
+            f"at position 2: unexpected {bad[:ECHO_CAP]!r}... "
+            "(3000 characters)\n")
 
     @settings(deadline=None, max_examples=120)
     @given(st.lists(
@@ -147,6 +166,23 @@ class TestValidate:
         code, out, err = run("validate", "--f", "x-4", "--g", "x", "--u0", "1")
         assert code == 1
         assert "error: type=InvalidF" in err
+
+    def test_root_past_the_float_range(self):
+        # the root bound of x - 10^309 does not fit in a float
+        code, out, err = run("validate", "--f", "x-1" + "0" * 309,
+                             "--g", "x", "--u0", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: type=InvalidF message=f has "
+                              "nonnegative integer root(s): 1000")
+
+    def test_too_many_root_candidates_unsupported(self):
+        # 2^18 divisors of the product of the first 18 primes, more than
+        # the candidate cap
+        primorial = math.prod(sieve_primes(61))
+        code, out, err = run("validate", "--f", "1", "--g", f"x+{primorial}",
+                             "--u0", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: type=UnsupportedInput")
 
 
 class TestTerms:

@@ -89,10 +89,11 @@ class TestExactChecks:
 
     def test_cursor_match_needs_no_rebuild(self, eventually_zero,
                                            monkeypatch):
-        # the cursor's reduced pair already equals the target exactly
+        # the nonzero prefix goes through the filtered scan: the witness
+        # is its one survivor, confirmed by one exact term
         calls = _term_calls(monkeypatch)
         assert decide(eventually_zero, Fraction(1, 3)).witness == 2
-        assert calls == []
+        assert calls == [2]
 
     def test_no_exact_check_on_a_long_no_scan(self, sq_pair, monkeypatch):
         calls = _term_calls(monkeypatch)
@@ -248,8 +249,9 @@ class TestUnsupported:
         assert v.outcome == "unsupported"
         assert v.reason == "p = 7 divides a required-coprime value"
 
-    def test_empty_scan_runs_once(self, sym_pair, monkeypatch):
-        # the report replays the walk already made; the primes are walked once
+    def test_empty_scan_walks_twice(self, sym_pair, monkeypatch):
+        # one walk looks for a certificate, and find_asymmetric_prime
+        # walks the range again for the counts in the reason
         calls = []
         walk = asymmetry.iter_primes
 
@@ -260,7 +262,7 @@ class TestUnsupported:
         monkeypatch.setattr(asymmetry, "iter_primes", counted)
         v = decide(sym_pair, 5, SMALL)
         assert v.outcome == "unsupported"
-        assert calls == [(2, SMALL.prime_cap)]
+        assert calls == [(2, SMALL.prime_cap)] * 2
 
     def test_empty_scan_reason(self, sym_pair):
         v = decide(sym_pair, 5, SMALL)
@@ -287,6 +289,29 @@ class TestDegenerateSequences:
         assert (v.outcome, v.witness) == ("yes", 1)
         v = decide(eventually_zero, 99)
         assert (v.outcome, v.terms_checked) == ("no", 3)
+
+    @pytest.mark.parametrize("f, g, u0", [
+        (X + ONE, RatPoly([3]) - X, 1),  # u_1 = u_0: the first hit wins
+        (X + ONE, X - ONE, Fraction(2, 3)),  # first zero at 1
+        (X * X + ONE, RatPoly([40]) - X, -5),
+    ])
+    def test_nonzero_prefix_against_brute_force(self, f, g, u0):
+        seq = make_sequence(f, g, u0)
+        first_zero = min(seq.flags.g_positive_integer_roots)
+        prefix = [term(seq, n) for n in range(first_zero)]
+        absent = max(map(abs, prefix)) + 1
+        for t in (prefix[0], prefix[-1], absent):
+            v = decide(seq, t)
+            if t in prefix:
+                n = prefix.index(t)
+                assert (v.outcome, v.witness, v.terms_checked) == \
+                    ("yes", n, n + 1)
+            else:
+                assert (v.outcome, v.witness, v.terms_checked) == \
+                    ("no", None, first_zero)
+                assert v.reason == (
+                    f"target differs from the {first_zero} nonzero terms "
+                    "and from the zero tail")
 
     def test_zero_u0(self):
         z = make_sequence(ONE, X, 0)

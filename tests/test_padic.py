@@ -5,9 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from hyperval.errors import (
     BadPrime,
+    NotHenselPrime,
     NotSimpleRoot,
     PrecisionExhausted,
 )
+from hyperval.hyperseq import make_sequence, usable_prime
+from hyperval.numtheory import fraction_valuation, sieve_primes
 from hyperval.padic import (
     count_roots_mod_p,
     hensel_lift,
@@ -178,12 +181,21 @@ class TestZeroRun:
     def test_all_zero_tail_exhausts(self):
         five = hensel_lift(X - RatPoly([5]), 3, 2, 4)
         with pytest.raises(PrecisionExhausted):
-            zero_run_length(five, 2, max_digits=64)
+            zero_run_length(five, 2)
 
     def test_negative_index_rejected(self):
         five = hensel_lift(X - RatPoly([5]), 3, 2, 4)
         with pytest.raises(ValueError):
             zero_run_length(five, -1)
+
+
+_GRID_EXTRA = {  # (f, g, u0)
+    "dpair": (X * X - RatPoly([5]), X * X - RatPoly([45]), 1),
+    "shift_pair": (X * X + X + ONE, (X + RatPoly([2])) ** 2 + X + RatPoly([3]),
+                   1),
+    "non_unit_u0": (X * X - RatPoly([2]), X * X - RatPoly([8]),
+                    Fraction(7, 5)),
+}
 
 
 class TestValuationAtPrimePower:
@@ -197,20 +209,42 @@ class TestValuationAtPrimePower:
         assert direct == digit_route == 0
 
     def test_linear_shift_pair(self):
-        from hyperval.hyperseq import make_sequence
         seq = make_sequence(X + ONE, X + RatPoly([80]), Fraction(1))
         direct, digit_route = valuation_at_prime_power(seq, 3, 1)
         assert direct == digit_route == 3
         direct, digit_route = valuation_at_prime_power(seq, 3, 2)
         assert direct == digit_route == 2
 
+    @pytest.mark.parametrize("name", [
+        "factorial", "telescoping", "sq_pair", "class_c_seq", "geometric",
+        "twin_field", "catalan", "fractional_coeffs", "double_root",
+        "sym_pair", "mixed_degree", *_GRID_EXTRA])
+    def test_grid(self, name, request):
+        # every fixture but the eventually-zero one, whose direct route is
+        # infinite; sym_pair is the sextet
+        if name in _GRID_EXTRA:
+            seq = make_sequence(*_GRID_EXTRA[name])
+        else:
+            seq = request.getfixturevalue(name)
+        for p in sieve_primes(199):
+            if not usable_prime(seq, p):
+                want = NotHenselPrime, "unusable"
+            elif count_roots_mod_p(seq.f, p) != count_roots_mod_p(seq.g, p):
+                want = ValueError, "equal root counts"
+            elif fraction_valuation(seq.u0, p) != 0:
+                want = ValueError, "p-adic unit"
+            else:
+                want = None
+            for s in (1, 2):
+                if want is None:
+                    direct, digit_route = valuation_at_prime_power(seq, p, s)
+                    assert direct == digit_route
+                else:
+                    with pytest.raises(want[0], match=want[1]):
+                        valuation_at_prime_power(seq, p, s)
+
     def test_include_initial_value(self):
-        from hyperval.hyperseq import make_sequence
-        unit_u0 = make_sequence(X + ONE, X + RatPoly([80]), Fraction(1))
         third_u0 = make_sequence(X + ONE, X + RatPoly([80]), Fraction(1, 3))
-        base = valuation_at_prime_power(unit_u0, 3, 1)
-        shifted = valuation_at_prime_power(third_u0, 3, 1, include_u0=True)
-        assert shifted[0] == shifted[1] == base[0] - 1
-        # without include_u0 the initial value must be a p-adic unit
-        with pytest.raises(ValueError):
+        # the initial value must be a p-adic unit
+        with pytest.raises(ValueError, match="^u0 must be a p-adic unit$"):
             valuation_at_prime_power(third_u0, 3, 1)
