@@ -22,17 +22,17 @@ from typing import Iterator, Optional, Sequence, Union
 from .errors import NotHenselPrime, UnsupportedInput
 from .hyperseq import HypergeomSeq, usable_prime, valuation_profile
 from .numtheory import INFINITY, Rational, iter_primes, require_prime
-from .padic import count_roots_mod_p
 
 
 def root_counts(seq: HypergeomSeq, p: int) -> tuple[int, int]:
-    """(m_f, m_g): roots of f and g mod p, counted with multiplicity."""
+    """(m_f, m_g): roots of f and g mod p, counted with multiplicity,
+    from the sequence's RootPlan."""
     if not usable_prime(seq, p):
         raise NotHenselPrime(
             f"p = {p} cannot be trusted for this recurrence "
             "(bad reduction or colliding roots)"
         )
-    return (count_roots_mod_p(seq.f, p), count_roots_mod_p(seq.g, p))
+    return seq.root_plan().root_counts(p)
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,7 @@ def scan_primes(
     counts), or the certificate at p.  This is the one prime-scan loop;
     it raises nothing per prime and tests no primality: the primes come
     from iter_primes, and the gate and the root counts from the
-    sequence's RootPlan, which agree with usable_prime and
-    count_roots_mod_p at every prime.
+    sequence's RootPlan, as in usable_prime and root_counts.
     """
     plan = seq.root_plan()
     # p divides u₀ or a value iff it divides their product; one gcd per

@@ -37,8 +37,9 @@ from .numtheory import (
     reduced_fraction,
     require_prime,
 )
-from .padic import frobenius_root_count, is_squarefree_mod_p, reduce_mod_p
+from .padic import frobenius_root_count, reduce_mod_p
 from .polyq import (
+    ONE,
     RatPoly,
     RationalFunction,
     _yun,
@@ -46,11 +47,11 @@ from .polyq import (
     factor,
     int_discriminant,
     int_eval,
+    int_values,
     parse_poly,
     parse_rational,
     poly_gcd,
     positive_integer_roots,
-    radical,
     shift_equivalent,
 )
 
@@ -70,8 +71,7 @@ class ValidationFlags:
 class HypergeomSeq:
     """Validated recurrence f(n)·uₙ = g(n)·uₙ₋₁ with u₀."""
 
-    __slots__ = ("f", "g", "u0", "flags", "_int_forms", "_root_plan",
-                 "_radical_fg")
+    __slots__ = ("f", "g", "u0", "flags", "_int_forms", "_root_plan")
 
     def __init__(self, f: RatPoly, g: RatPoly, u0: Fraction,
                  flags: ValidationFlags):
@@ -81,7 +81,6 @@ class HypergeomSeq:
         self.flags = flags
         self._int_forms: Optional[tuple[list[int], int, list[int], int]] = None
         self._root_plan: Optional[RootPlan] = None
-        self._radical_fg: Optional[RatPoly] = None
 
     @property
     def max_degree(self) -> int:
@@ -96,18 +95,11 @@ class HypergeomSeq:
         return self._int_forms
 
     def root_plan(self) -> "RootPlan":
-        """The gate and the root counts of the prime scan, built on the
-        first scan and kept."""
+        """The gate and the root counts at every prime, built on the
+        first query and kept."""
         if self._root_plan is None:
             self._root_plan = _root_plan(self)
         return self._root_plan
-
-    @property
-    def radical_fg(self) -> RatPoly:
-        """Product of the distinct irreducible factors of f·g."""
-        if self._radical_fg is None:
-            self._radical_fg = radical(self.f * self.g)
-        return self._radical_fg
 
     def __str__(self):
         return f"f = {self.f}; g = {self.g}; u0 = {self.u0}"
@@ -148,22 +140,14 @@ def make_sequence(f: RatPoly, g: RatPoly,
 def usable_prime(seq: HypergeomSeq, p: int) -> bool:
     """Can mod-p root structure of this recurrence be trusted at p?
 
-    Requires p coprime to every coefficient denominator and to both
+    Holds when p is coprime to every coefficient denominator and to both
     leading coefficients, and the product of distinct irreducible
-    factors of f·g square-free mod p — so distinct roots stay distinct
-    and every root lifts uniquely.
+    factors of f·g is square-free mod p — so distinct roots stay
+    distinct and every root lifts uniquely.  Read off the sequence's
+    RootPlan: p must not divide its gate.
     """
     require_prime(p)
-    for poly in (seq.f, seq.g):
-        for c in poly.coeffs:
-            if c.denominator % p == 0:
-                return False
-        if poly.leading.numerator % p == 0:
-            return False
-    # past these checks f·g is a p-unit times a monic p-integral
-    # polynomial, so (Gauss's lemma) its monic radical is p-integral:
-    # of is_hensel_prime's tests only square-freeness is left to make
-    return is_squarefree_mod_p(reduce_mod_p(seq.radical_fg, p), p)
+    return seq.root_plan().gate % p != 0
 
 
 @dataclass(frozen=True)
@@ -209,13 +193,17 @@ def _root_plan(seq: HypergeomSeq) -> RootPlan:
     numerator(lc f) · numerator(lc g) · disc(R), R the integer form of
     the monic radical of f·g (primitive, since the radical is monic):
     a prime off the first three factors leaves the radical p-integral
-    and monic, and it is square-free mod p iff p ∤ disc(R)."""
+    and monic, and it is square-free mod p iff p ∤ disc(R).  f and g
+    are coprime (make_sequence divides out their gcd), so the radical
+    is the product of their square-free parts."""
     f, g = seq.f, seq.g
+    f_parts, g_parts = _square_free_parts(f), _square_free_parts(g)
     den = math.lcm(*(c.denominator for c in f.coeffs + g.coeffs))
-    R, _ = seq.radical_fg.to_integer()
+    rad = math.prod((part for part, _, _ in f_parts + g_parts), start=ONE)
+    R, _ = rad.to_integer()
     disc = int_discriminant(R) if len(R) > 2 else 1
     gate = abs(den * f.leading.numerator * g.leading.numerator * disc)
-    return RootPlan(gate, _square_free_parts(f), _square_free_parts(g))
+    return RootPlan(gate, f_parts, g_parts)
 
 
 def _square_free_parts(poly: RatPoly) -> tuple:
@@ -246,17 +234,19 @@ class TermCursor:
     Each step multiplies by A(m)/B(m) from step_polys, removing common
     factors against the running numerator and denominator as it goes, so
     the pair (num, den) is always fully reduced with den > 0 and never
-    transits through unreduced products.
+    transits through unreduced products.  A(m) and B(m) come from
+    int_values, one pair per step, on the zero tail too.
     """
 
-    __slots__ = ("seq", "n", "num", "den", "_A", "_B")
+    __slots__ = ("seq", "n", "num", "den", "_steps")
 
     def __init__(self, seq: HypergeomSeq):
         self.seq = seq
         self.n = 0
         self.num = seq.u0.numerator
         self.den = seq.u0.denominator
-        self._A, self._B = step_polys(seq)
+        A, B = step_polys(seq)
+        self._steps = zip(int_values(A, 1), int_values(B, 1))
 
     @property
     def value(self) -> Fraction:
@@ -264,31 +254,28 @@ class TermCursor:
 
     def advance(self) -> int:
         """Step to the next index; returns the new n."""
-        m = self.n + 1
-        if self.num != 0:
-            a = int_eval(self._A, m)
-            if a == 0:
-                self.num, self.den = 0, 1
-            else:
-                b = int_eval(self._B, m)
-                if b < 0:
-                    a, b = -a, -b
-                g0 = math.gcd(a, b)
-                if g0 > 1:
-                    a //= g0
-                    b //= g0
-                al = math.gcd(a, self.den)
-                if al > 1:
-                    a //= al
-                    self.den //= al
-                be = math.gcd(b, self.num)
-                if be > 1:
-                    b //= be
-                    self.num //= be
-                self.num *= a
-                self.den *= b
-        self.n = m
-        return m
+        a, b = next(self._steps)
+        if a == 0:
+            self.num, self.den = 0, 1
+        elif self.num != 0:
+            if b < 0:
+                a, b = -a, -b
+            g0 = math.gcd(a, b)
+            if g0 > 1:
+                a //= g0
+                b //= g0
+            al = math.gcd(a, self.den)
+            if al > 1:
+                a //= al
+                self.den //= al
+            be = math.gcd(b, self.num)
+            if be > 1:
+                b //= be
+                self.num //= be
+            self.num *= a
+            self.den *= b
+        self.n += 1
+        return self.n
 
     def advance_to(self, n: int) -> None:
         if n < self.n:

@@ -119,8 +119,8 @@ def _best_certificate(
         scan = find_asymmetric_prime(seq, 2, config.prime_cap, (t,))
         raise UnsupportedInput("no usable asymmetric prime below the cap; "
                                + scan.summary())
-    # the scan's root-count plan only chooses the prime; the verdict
-    # rests on the certificate from the checked single-prime entry
+    # the public entry re-tests the chosen prime and the exclusions; its
+    # gate and root counts read the same RootPlan as the scan
     return make_certificate(seq, best.p, coprime_with=(t,))
 
 

@@ -5,7 +5,7 @@ p-element field via gcd with x^p - x, detection of primes where every
 root lifts uniquely, Newton/Hensel lifting to prime-power precision, and
 digit-level diagnostics of lifted roots (zero runs and the valuation
 identity at n = p^s that ties digit runs to ν_p(u_n), over the roots
-of Yun's square-free parts of f and g).
+of the square-free parts in the sequence's RootPlan).
 Public functions check that p is prime; the kernels on reduced lists
 (reduce_mod_p, frobenius_root_count, is_squarefree_mod_p) trust it.
 """
@@ -23,7 +23,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .numtheory import fraction_valuation, mod_rep, require_prime
-from .polyq import RatPoly, _yun
+from .polyq import RatPoly
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .hyperseq import HypergeomSeq
@@ -223,14 +223,6 @@ def zero_run_length(root: PadicRoot, s: int) -> int:
 # -- the valuation identity at n = p^s ---------------------------------
 
 
-def _strip_zero_roots(f: RatPoly) -> tuple[RatPoly, int]:
-    """(f without its x^v factor, v)."""
-    v = 0
-    while v <= f.degree and f.coeff(v) == 0:
-        v += 1
-    return RatPoly(f.coeffs[v:]), v
-
-
 def _c_count(root: PadicRoot, s: int, p: int) -> int:
     """#{r > s : 1 ≤ (root mod p^r) ≤ p^s}: the digit-run count feeding
     the valuation identity."""
@@ -265,13 +257,14 @@ def valuation_at_prime_power(seq: "HypergeomSeq", p: int,
     [1, p^s], which for a root with nonzero digit at index s−… reduces
     to the length of its zero-digit run.  Requires a usable prime, the
     same number of roots mod p on both sides so the coarse layers
-    cancel, and u₀ a p-adic unit.
+    cancel, u₀ a p-adic unit, and u_{p^s} ≠ 0: no positive integer
+    root of g at most p^s.
 
-    Roots come from Yun's square-free parts of f and g, x^v split off.
-    Past the usable_prime gate the parts are square-free and pairwise
-    coprime mod p (as in hyperseq._roots_of_parts), so each root of a
-    part of multiplicity e is simple and counts e times; x^v counts v
-    roots, and its exact root 0 adds no digits: its truncations are 0.
+    The counts and the roots come from the square-free parts in the
+    sequence's RootPlan.  Past its gate the parts are square-free and
+    pairwise coprime mod p, so each root of a part of multiplicity e is
+    simple and counts e times; x is divided out of a part that it
+    divides, since the exact root 0 adds no digits: its truncations are 0.
     """
     from .hyperseq import term_valuation, usable_prime
 
@@ -281,24 +274,26 @@ def valuation_at_prime_power(seq: "HypergeomSeq", p: int,
         raise NotHenselPrime(
             f"{p} is unusable: root structure of f·g is not clean mod {p}"
         )
-    counts = []
-    roots = []  # (signed weight, square-free part, root mod p)
-    for poly, sign in ((seq.f, -1), (seq.g, +1)):
-        rest, m = _strip_zero_roots(poly)
-        for part, e in _yun(rest.monic()):
-            for a in roots_mod_p(part, p):
-                m += e
-                roots.append((sign * e, part, a))
-        counts.append(m)
-    mf, mg = counts
+    plan = seq.root_plan()
+    mf, mg = plan.root_counts(p)
     if mf != mg:
         raise ValueError(
             f"digit identity needs equal root counts; got {mf} vs {mg}"
         )
     if fraction_valuation(seq.u0, p) != 0:  # usable_prime checked p
         raise ValueError("u0 must be a p-adic unit")
+    ps = p**s
+    if any(r <= ps for r in seq.flags.g_positive_integer_roots):
+        raise ValueError("g has a positive integer root at most p^s, "
+                         "so u_{p^s} = 0")
 
-    direct = term_valuation(seq, p**s, p)
+    roots = []  # (signed weight, square-free part, root mod p)
+    for parts, sign in ((plan.f_parts, -1), (plan.g_parts, +1)):
+        for part, e, _ in parts:
+            if part.coeff(0) == 0:
+                part = RatPoly(part.coeffs[1:])
+            roots += [(sign * e, part, a) for a in roots_mod_p(part, p)]
+    direct = term_valuation(seq, ps, p)
     start = max(2 * s, 4)
     digit_side = sum(weight * _c_count(hensel_lift(part, p, a, start), s, p)
                      for weight, part, a in roots)

@@ -1,15 +1,41 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from hyperval.hyperseq import make_sequence
-from hyperval.polyq import RatPoly, X
+from hyperval.numtheory import require_prime
+from hyperval.padic import is_squarefree_mod_p, reduce_mod_p
+from hyperval.polyq import RatPoly, X, radical
 
 ONE = RatPoly([1])
 
 
 def seq(f, g, u0=1):
     return make_sequence(f, g, Fraction(u0))
+
+
+@cache
+def _radical_fg(seq):
+    return radical(seq.f * seq.g)
+
+
+def polynomial_usable_prime(seq, p):
+    """usable_prime by polynomial arithmetic mod p, the reference for the
+    RootPlan's integer gate: p off every coefficient denominator and
+    both leading coefficients, and the monic radical of f·g square-free
+    mod p."""
+    require_prime(p)
+    for poly in (seq.f, seq.g):
+        for c in poly.coeffs:
+            if c.denominator % p == 0:
+                return False
+        if poly.leading.numerator % p == 0:
+            return False
+    # past these checks f·g is a p-unit times a monic p-integral
+    # polynomial, so (Gauss's lemma) its monic radical is p-integral:
+    # of is_hensel_prime's tests only square-freeness is left to make
+    return is_squarefree_mod_p(reduce_mod_p(_radical_fg(seq), p), p)
 
 
 @pytest.fixture(scope="session")

@@ -31,6 +31,8 @@ from hyperval.padic import count_roots_mod_p, frobenius_root_count, reduce_mod_p
 from hyperval.polyq import RatPoly
 from hyperval.quadratic import class_d_quadratic_check
 
+from conftest import polynomial_usable_prime
+
 X = RatPoly([0, 1])
 ONE = RatPoly([1])
 
@@ -263,17 +265,20 @@ class TestScanOutcomes:
 
 def _per_prime_body(seq, p, coprime_with):
     """scan_primes' per-prime body before the root-count plan: the gate
-    by usable_prime, the counts by Frobenius on all of f and of g."""
+    by polynomial arithmetic mod p, the counts by Frobenius on all of f
+    and of g."""
     if any(v != 0 and (v.numerator % p == 0 or v.denominator % p == 0)
            for v in (seq.u0, *coprime_with)):
         return "excluded"
-    if not usable_prime(seq, p):
+    if not polynomial_usable_prime(seq, p):
         return "unusable"
     m_f = frobenius_root_count(reduce_mod_p(seq.f, p), p)
     m_g = frobenius_root_count(reduce_mod_p(seq.g, p), p)
     if m_f == m_g:
         return "symmetric"
-    return make_certificate(seq, p, coprime_with)
+    cert = make_certificate(seq, p, coprime_with)
+    assert (cert.m_f, cert.m_g) == (m_f, m_g)
+    return cert
 
 
 _PRIMES_600 = sieve_primes(600)
@@ -299,18 +304,20 @@ def _plan_polys(draw):
 
 
 class TestRootPlan:
-    """The plan's gate and counts against usable_prime and
+    """The plan's gate and counts, and usable_prime and root_counts that
+    read them, against the gate by polynomial arithmetic and
     count_roots_mod_p, and the scan against its old per-prime body, at
     every prime up to 600."""
 
     def _check(self, seq, coprime_with=()):
         plan = seq.root_plan()
         for p in _PRIMES_600:
-            usable = usable_prime(seq, p)
-            assert (plan.gate % p != 0) == usable, p
+            usable = polynomial_usable_prime(seq, p)
+            assert (plan.gate % p != 0) == usable_prime(seq, p) == usable, p
             if usable:
-                assert plan.root_counts(p) == (count_roots_mod_p(seq.f, p),
-                                               count_roots_mod_p(seq.g, p)), p
+                want = (count_roots_mod_p(seq.f, p),
+                        count_roots_mod_p(seq.g, p))
+                assert plan.root_counts(p) == root_counts(seq, p) == want, p
         assert list(scan_primes(seq, 2, 600, coprime_with)) == [
             (p, _per_prime_body(seq, p, coprime_with)) for p in _PRIMES_600]
 

@@ -35,7 +35,9 @@ from hyperval.numtheory import (
     weil_height_exact,
 )
 from hyperval.padic import is_hensel_prime
-from hyperval.polyq import ONE, RatPoly, X, int_eval
+from hyperval.polyq import ONE, RatPoly, X, int_eval, radical
+
+from conftest import polynomial_usable_prime
 
 
 class TestClosedForms:
@@ -141,6 +143,17 @@ class TestTermCursor:
         with pytest.raises(ValueError):
             cur.advance_to(5)  # cursors only move forward
 
+    def test_steps_stay_aligned_on_the_zero_tail(self, eventually_zero):
+        # u_n = 0 from n = 3 on; the cursor still takes one (A(m), B(m))
+        # pair per step, so the next pair is the one at m = n + 1
+        A, B = step_polys(eventually_zero)
+        cur = TermCursor(eventually_zero)
+        for n in range(1, 11):
+            assert cur.advance() == n
+            assert cur.value == term(eventually_zero, n)
+        assert (cur.num, cur.den) == (0, 1)
+        assert next(cur._steps) == (int_eval(A, 11), int_eval(B, 11))
+
 
 FIXTURES = ("factorial", "telescoping", "sq_pair", "class_c_seq", "geometric",
             "twin_field", "catalan", "eventually_zero", "fractional_coeffs",
@@ -198,15 +211,17 @@ class TestUsablePrime:
             if any(c.denominator % p == 0 for c in poly.coeffs) or \
                     poly.leading.numerator % p == 0:
                 return False
-        return is_hensel_prime(seq.radical_fg, p)
+        return is_hensel_prime(radical(seq.f * seq.g), p)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_radical_checks_are_implied(self, name, request):
-        # usable_prime tests only square-freeness of the monic radical:
-        # the f and g checks make it p-integral with leading coefficient 1
+        # the polynomial gate tests only square-freeness of the monic
+        # radical: the f and g checks make it p-integral with leading
+        # coefficient 1; usable_prime reads the plan's integer gate
         seq = request.getfixturevalue(name)
         for p in sieve_primes(300):
-            assert usable_prime(seq, p) == self._full_gate(seq, p), p
+            assert usable_prime(seq, p) == polynomial_usable_prime(seq, p) \
+                == self._full_gate(seq, p), p
 
     def test_radical_checks_are_implied_on_random_sequences(self):
         rng = random.Random(5)
@@ -224,8 +239,8 @@ class TestUsablePrime:
                 continue
             checked += 1
             for p in sieve_primes(60):
-                assert usable_prime(seq, p) == self._full_gate(seq, p), \
-                    (str(f), str(g), p)
+                assert usable_prime(seq, p) == polynomial_usable_prime(
+                    seq, p) == self._full_gate(seq, p), (str(f), str(g), p)
 
 
 class TestValuationProfile:

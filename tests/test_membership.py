@@ -348,11 +348,11 @@ class TestCertificateSelection:
 
 def test_corpus_search_makes_no_polynomial_arithmetic(certified_corpus,
                                                      monkeypatch):
-    # the scan's gate is one integer and the corpus has no square-free
-    # part of degree 3 or more, so the search makes no Frobenius count,
-    # primality test or factorization, the root-count plan's
-    # construction included; they run only inside the one make_certificate
-    # that rebuilds each verdict's certificate at the chosen prime
+    # the gate is one integer and the corpus has no square-free part of
+    # degree 3 or more, so decide makes no Frobenius count or
+    # factorization, the root-count plan's construction included, and
+    # make_certificate reads the same plan; the one primality test runs
+    # inside the make_certificate that rebuilds each verdict's certificate
     fresh = {name: make_sequence(s.f, s.g, s.u0)
              for name, s in certified_corpus.items()}
     targets = [(seq, t) for seq in fresh.values()
@@ -385,7 +385,7 @@ def test_corpus_search_makes_no_polynomial_arithmetic(certified_corpus,
     assert [v.outcome for v in verdicts] == ["yes", "no"] * len(fresh)
     assert all(v.certificate is not None for v in verdicts)
     assert calls and all(within for _, within in calls)
-    assert {name for name, _ in calls} == {"frobenius_root_count", "is_prime"}
+    assert {name for name, _ in calls} == {"is_prime"}
 
 
 class TestBatchAndRecords:

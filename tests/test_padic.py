@@ -3,15 +3,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperval import padic
 from hyperval.errors import (
     BadPrime,
     NotHenselPrime,
     NotSimpleRoot,
     PrecisionExhausted,
 )
-from hyperval.hyperseq import make_sequence, usable_prime
+from hyperval.hyperseq import make_sequence, term_valuation
 from hyperval.numtheory import fraction_valuation, sieve_primes
 from hyperval.padic import (
+    _c_count,
     count_roots_mod_p,
     hensel_lift,
     is_hensel_prime,
@@ -20,7 +22,9 @@ from hyperval.padic import (
     valuation_at_prime_power,
     zero_run_length,
 )
-from hyperval.polyq import ONE, RatPoly, X, poly_gcd
+from hyperval.polyq import ONE, RatPoly, X, _yun, poly_gcd
+
+from conftest import polynomial_usable_prime
 
 
 def count_roots_oracle(coeffs, p):
@@ -196,6 +200,55 @@ _GRID_EXTRA = {  # (f, g, u0)
     "non_unit_u0": (X * X - RatPoly([2]), X * X - RatPoly([8]),
                     Fraction(7, 5)),
 }
+_GRID_FIXTURES = (
+    "factorial", "telescoping", "sq_pair", "class_c_seq", "geometric",
+    "twin_field", "catalan", "fractional_coeffs", "double_root", "sym_pair",
+    "mixed_degree", *_GRID_EXTRA)
+
+
+def _grid_sequence(name, request):
+    if name in _GRID_EXTRA:
+        return make_sequence(*_GRID_EXTRA[name])
+    return request.getfixturevalue(name)
+
+
+def _outcome(fn, *args):
+    """fn's return value, or the type of the library error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, NotHenselPrime, PrecisionExhausted) as exc:
+        return type(exc)
+
+
+def _polynomial_valuation_at_prime_power(seq, p, s):
+    """valuation_at_prime_power before the RootPlan: the gate by
+    polynomial arithmetic mod p, and the counts and roots from Yun's
+    parts of f and g with their x^v factors stripped off."""
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    if not polynomial_usable_prime(seq, p):
+        raise NotHenselPrime(f"{p} is unusable")
+    counts = []
+    roots = []  # (signed weight, square-free part, root mod p)
+    for poly, sign in ((seq.f, -1), (seq.g, +1)):
+        m = 0
+        while poly.coeff(m) == 0:
+            m += 1
+        rest = RatPoly(poly.coeffs[m:])
+        for part, e in _yun(rest.monic()):
+            for a in roots_mod_p(part, p):
+                m += e
+                roots.append((sign * e, part, a))
+        counts.append(m)
+    if counts[0] != counts[1]:
+        raise ValueError("digit identity needs equal root counts")
+    if fraction_valuation(seq.u0, p) != 0:
+        raise ValueError("u0 must be a p-adic unit")
+    direct = term_valuation(seq, p**s, p)
+    start = max(2 * s, 4)
+    digit_side = sum(weight * _c_count(hensel_lift(part, p, a, start), s, p)
+                     for weight, part, a in roots)
+    return int(direct), digit_side
 
 
 class TestValuationAtPrimePower:
@@ -215,19 +268,13 @@ class TestValuationAtPrimePower:
         direct, digit_route = valuation_at_prime_power(seq, 3, 2)
         assert direct == digit_route == 2
 
-    @pytest.mark.parametrize("name", [
-        "factorial", "telescoping", "sq_pair", "class_c_seq", "geometric",
-        "twin_field", "catalan", "fractional_coeffs", "double_root",
-        "sym_pair", "mixed_degree", *_GRID_EXTRA])
+    @pytest.mark.parametrize("name", [*_GRID_FIXTURES, "eventually_zero"])
     def test_grid(self, name, request):
-        # every fixture but the eventually-zero one, whose direct route is
-        # infinite; sym_pair is the sextet
-        if name in _GRID_EXTRA:
-            seq = make_sequence(*_GRID_EXTRA[name])
-        else:
-            seq = request.getfixturevalue(name)
+        # sym_pair is the sextet; eventually_zero has u_n = 0 from n = 3
+        # on, so at every usable prime u_{p^s} = 0
+        seq = _grid_sequence(name, request)
         for p in sieve_primes(199):
-            if not usable_prime(seq, p):
+            if not polynomial_usable_prime(seq, p):
                 want = NotHenselPrime, "unusable"
             elif count_roots_mod_p(seq.f, p) != count_roots_mod_p(seq.g, p):
                 want = ValueError, "equal root counts"
@@ -236,12 +283,42 @@ class TestValuationAtPrimePower:
             else:
                 want = None
             for s in (1, 2):
-                if want is None:
+                if want is None and any(
+                        r <= p**s for r in seq.flags.g_positive_integer_roots):
+                    with pytest.raises(ValueError, match="integer root"):
+                        valuation_at_prime_power(seq, p, s)
+                elif want is None:
                     direct, digit_route = valuation_at_prime_power(seq, p, s)
                     assert direct == digit_route
                 else:
                     with pytest.raises(want[0], match=want[1]):
                         valuation_at_prime_power(seq, p, s)
+
+    @pytest.mark.parametrize("name", _GRID_FIXTURES)
+    def test_matches_the_polynomial_route(self, name, request):
+        # the RootPlan's counts and parts against the route that reduced
+        # f and g mod p and ran Yun on each: the same pairs, the same
+        # exception types
+        seq = _grid_sequence(name, request)
+        for p in sieve_primes(199):
+            for s in (1, 2):
+                assert _outcome(valuation_at_prime_power, seq, p, s) \
+                    == _outcome(_polynomial_valuation_at_prime_power,
+                                seq, p, s), (p, s)
+
+    def test_eventually_zero_raises_before_lifting(self, monkeypatch):
+        # g = x - 30: u_n = 0 from n = 30 on, so 5^3 is past the first
+        # zero; 5 and 25 are not, and both routes agree there
+        seq = make_sequence(X + ONE, X - RatPoly([30]), Fraction(1))
+        assert valuation_at_prime_power(seq, 5, 1) == (1, 1)
+        assert valuation_at_prime_power(seq, 5, 2) == (0, 0)
+
+        def no_lift(*args):
+            raise AssertionError("lifted a root of an eventually-zero sequence")
+
+        monkeypatch.setattr(padic, "hensel_lift", no_lift)
+        with pytest.raises(ValueError, match="^g has a positive integer root"):
+            valuation_at_prime_power(seq, 5, 3)
 
     def test_include_initial_value(self):
         third_u0 = make_sequence(X + ONE, X + RatPoly([80]), Fraction(1, 3))
