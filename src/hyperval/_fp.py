@@ -124,6 +124,27 @@ def eval_at(a: list[int], x: int, p: int) -> int:
     return acc
 
 
+def roots(a: list[int], p: int) -> list[int]:
+    """The distinct roots of the nonzero list a in the p-element field, by
+    a direct scan."""
+    return [x for x in range(p) if eval_at(a, x, p) == 0]
+
+
+def lift_root(c: list[int], r: int, p: int, prec: int, k: int) -> int:
+    """The root mod p^k, congruent to r, of the integer polynomial c,
+    where r is a root mod p^prec (prec ≤ k) that is simple mod p.
+
+    Newton's iteration with doubling precision; p prime and r simple,
+    neither re-tested.
+    """
+    d = [i * a for i, a in enumerate(c)][1:]
+    while prec < k:
+        prec = min(2 * prec, k)
+        mod = p**prec
+        r = (r - eval_at(c, r, mod) * pow(eval_at(d, r, mod), -1, mod)) % mod
+    return r
+
+
 def derivative(a: list[int], p: int) -> list[int]:
     return trim([i * c % p for i, c in enumerate(a)][1:])
 

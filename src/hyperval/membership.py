@@ -31,7 +31,7 @@ from .asymmetry import (
     scan_primes,
 )
 from .errors import NotHenselPrime, UnsupportedInput
-from .hyperseq import HypergeomSeq, step_polys, term
+from .hyperseq import HypergeomSeq, _first_zero, step_polys, term
 from .numtheory import Rational
 from .polyq import int_values
 
@@ -166,8 +166,7 @@ def decide(seq: HypergeomSeq, t: Union[Rational, int],
 def _decide_degenerate(seq: HypergeomSeq, t: Fraction,
                        config: MembershipConfig) -> MembershipVerdict:
     """u₀ = 0 or g with a positive root: compare along the finite prefix."""
-    roots = seq.flags.g_positive_integer_roots
-    first_zero = 0 if seq.u0 == 0 else (min(roots) if roots else None)
+    first_zero = _first_zero(seq)
     if t == 0:
         # first_zero is not None here: degenerate_zero flag implies it
         if term(seq, first_zero) != 0:

@@ -80,7 +80,7 @@ def roots_mod_p(f: RatPoly, p: int) -> list[int]:
     c = reduce_mod_p(f, p)
     if not c:
         raise ValueError("polynomial vanishes identically mod p")
-    return [a for a in range(p) if _fp.eval_at(c, a, p) == 0]
+    return _fp.roots(c, p)
 
 
 def is_hensel_prime(f: RatPoly, p: int) -> bool:
@@ -173,17 +173,10 @@ def hensel_lift(f: RatPoly, p: int, r0: int, k: int) -> PadicRoot:
 def _newton_root(f: RatPoly, F: list[int], p: int, r: int, prec: int,
                  k: int, digits: tuple[int, ...]) -> PadicRoot:
     """Lift the simple root r of the integer form F of f from mod p^prec
-    to mod p^k (k ≥ prec) by Newton's iteration with doubling precision;
-    digits are r's first prec digits.  p is prime and r simple, neither
-    re-tested; f(value) ≡ 0 (mod p^k) is asserted before returning."""
-    Fd = [i * c for i, c in enumerate(F)][1:]
-    value = r
-    while prec < k:
-        prec = min(2 * prec, k)
-        mod = p**prec
-        fr = _fp.eval_at(F, value, mod)
-        fdr = _fp.eval_at(Fd, value, mod)
-        value = (value - fr * pow(fdr, -1, mod)) % mod
+    to mod p^k (k ≥ prec) by _fp.lift_root; digits are r's first prec
+    digits.  p is prime and r simple, neither re-tested; f(value) ≡ 0
+    (mod p^k) is asserted before returning."""
+    value = _fp.lift_root(F, r, p, prec, k)
     assert _fp.eval_at(F, value, p**k) == 0
     new_digits = []
     v = value // p**len(digits)

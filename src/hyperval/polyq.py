@@ -10,12 +10,15 @@ expression grammar that ``str(RatPoly)`` writes (:func:`parse_poly`,
 :func:`parse_rational`).
 
 Factoring strategy: strip powers of x, make the polynomial monic with
-integer coefficients, run Yun's square-free decomposition, extract integer
-roots by bounded divisor scanning, then search for monic quadratic factors
-by lifting factor candidates from a good small prime and testing exact
-division.  Residual factors of degree >= 3 are returned opaque and flagged
-not certified irreducible; degree <= 2 factors are always certified
-(quadratics via a non-square discriminant).
+integer coefficients, run Yun's square-free decomposition, then work at
+one good prime p, the least odd prime that keeps the part square-free
+and of full degree: integer roots are roots mod p lifted by Newton's
+iteration and tested exactly, and monic quadratic factors are candidates
+mod p lifted by Hensel's lemma and tested by exact division.  No integer
+is factored.  Residual factors of degree >= 3 are returned opaque and
+flagged not certified irreducible; degree <= 2 factors are always
+certified (a monic integer quadratic with no integer root is
+irreducible).
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _fp
-from .errors import PolyParseError, UnsupportedInput
-from .numtheory import Rational, factorize, sieve_primes
+from .errors import PolyParseError
+from .numtheory import Rational, is_prime
 
-_MAX_DIVISOR_CANDIDATES = 200_000
+# a polynomial that may have repeated factors is tried at these primes
+# before its radical is taken
+_TRIAL_PRIMES = tuple(filter(is_prime, range(3, 20, 2)))
 
 
 class RatPoly:
@@ -505,27 +510,6 @@ def _yun(p: RatPoly) -> list[tuple[RatPoly, int]]:
     return out
 
 
-def _divisors_upto(n: int, bound: int) -> Optional[list[int]]:
-    """Positive divisors of |n| that are <= bound, or None if there would
-    be too many to enumerate."""
-    fac = factorize(n)
-    divs = [1]
-    for q, e in fac.items():
-        fresh = []
-        for d in divs:
-            v = d
-            for _ in range(e):
-                v *= q
-                if v <= bound:
-                    fresh.append(v)
-                else:
-                    break
-        divs.extend(fresh)
-        if len(divs) > _MAX_DIVISOR_CANDIDATES:
-            return None
-    return [d for d in set(divs) if d <= bound]
-
-
 def _factor_squarefree(h: RatPoly) -> list[tuple[RatPoly, bool]]:
     """Factor a monic square-free h with nonzero constant term.
 
@@ -600,102 +584,96 @@ def _int_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, r
 
 
-def _integer_roots(c: list[int]) -> Optional[list[int]]:
-    """The integer roots of the integer polynomial c, of degree ≥ 1 with
-    c[0] ≠ 0, by increasing |r| and r before −r; or None when there are
-    too many candidates to enumerate.
+def _good_prime(c: list[int], primes: Optional[Iterable[int]] = None
+                ) -> Optional[tuple[int, list[int]]]:
+    """(p, c mod p) for the least p in primes (by default every odd
+    prime) at which the integer polynomial c keeps its degree and is
+    square-free, or None if there is none.
 
-    A root r divides c[0] and |r| < max|c| // |lc| + 2 (Cauchy's bound),
-    and r − 1 divides c(1) and r + 1 divides c(−1); the survivors are
-    evaluated exactly.  No float is formed, whatever the coefficients.
+    Over every odd prime the search ends when c is square-free: only the
+    finitely many primes dividing its leading coefficient or its
+    discriminant fail.
     """
-    bound = max(abs(a) for a in c) // abs(c[-1]) + 2
-    divs = _divisors_upto(c[0], bound)
-    if divs is None:
-        return None
-    c1, cm1 = int_eval(c, 1), int_eval(c, -1)
-    return [r for d in sorted(divs) for r in (d, -d)
-            if (r == 1 or c1 % (r - 1) == 0)
-            and (r == -1 or cm1 % (r + 1) == 0)
-            and int_eval(c, r) == 0]
-
-
-def _factor_monic_int(H: list[int], out: list[tuple[list[int], bool]]) -> None:
-    """Factor monic square-free integer H; append (coeffs, certified)."""
-    deg = len(H) - 1
-    if deg <= 0:
-        return
-    if deg == 1:
-        out.append((H, True))
-        return
-
-    roots = _integer_roots(H)
-    if roots is not None:
-        # H is square-free, so each root divides out once
-        for r in roots:
-            out.append(([-r, 1], True))
-            H, rem = _int_divmod(H, [-r, 1])
-            assert not rem
-        deg = len(H) - 1
-
-    if deg == 0:
-        return
-    if deg == 1:
-        out.append((H, True))
-        return
-    if deg == 2:
-        _emit_quadratic(H, out)
-        return
-    if deg == 3:
-        # no rational root (checked above when enumerable): any factorization
-        # would include a linear factor, but we do not certify that here
-        out.append((H, False))
-        return
-
-    q = _find_quadratic_factor(H)
-    if q is None:
-        out.append((H, False))
-        return
-    _emit_quadratic(q, out)
-    quo, rem = _int_divmod(H, q)
-    assert not rem
-    _factor_monic_int(quo, out)
-
-
-def _emit_quadratic(q: list[int], out: list[tuple[list[int], bool]]) -> None:
-    """Append monic integer quadratic q, split if its discriminant is square."""
-    c, b, _ = q
-    disc = b * b - 4 * c
-    if disc >= 0:
-        s = math.isqrt(disc)
-        if s * s == disc:
-            # square discriminant: the roots (-b +- s)/2 are integers
-            # (b and s share parity), so split into linear factors
-            for root in ((-b + s) // 2, (-b - s) // 2):
-                out.append(([-root, 1], True))
-            return
-    out.append((q, True))
-
-
-def _find_quadratic_factor(H: list[int]) -> Optional[list[int]]:
-    """A monic integer quadratic factor of monic square-free H, or None.
-
-    Candidates come from a prime p where H stays square-free: irreducible
-    quadratic factors of H mod p, and products of pairs of its linear
-    factors, lifted to enough p-adic precision to pin integer coefficients.
-    """
-    for p in sieve_primes(1000)[1:]:  # odd primes
-        Hp = _fp.from_int_coeffs(H, p)
-        if _fp.deg(_fp.gcd(Hp, _fp.derivative(Hp, p), p)) != 0:
-            continue  # not square-free mod p; finitely many such primes
-        # Any quadratic factor of H reduces to a quadratic divisor of
-        # H mod p, so this one prime settles the question either way.
-        return _search_at_prime(H, Hp, p)
+    if primes is None:
+        primes = filter(is_prime, itertools.count(3, 2))
+    for p in primes:
+        cp = _fp.from_int_coeffs(c, p)
+        if len(cp) == len(c) and \
+                _fp.deg(_fp.gcd(cp, _fp.derivative(cp, p), p)) == 0:
+            return p, cp
     return None
 
 
-def _search_at_prime(H: list[int], Hp: list[int], p: int) -> Optional[list[int]]:
-    roots = [a for a in range(p) if _fp.eval_at(Hp, a, p) == 0]
+def _lift_roots(c: list[int], p: int, cp: list[int]) -> list[int]:
+    """The integer roots of the integer polynomial c, ascending, from a
+    good prime p and cp = c mod p.
+
+    An integer root r reduces to a root of cp, simple since cp is
+    square-free, and Newton's iteration lifts that root to the one
+    p-adic root above it.  Lifted past twice the Cauchy bound
+    |r| < max|c| // |lc| + 2, the symmetric representative is the only
+    candidate, and int_eval tests it exactly.  No float is formed.
+    """
+    bound = max(abs(a) for a in c) // abs(c[-1]) + 2
+    k, pk = 1, p
+    while pk <= 2 * bound:
+        k, pk = k + 1, pk * p
+    lifted = (_fp.lift_root(c, a, p, 1, k) for a in _fp.roots(cp, p))
+    return sorted(r for r in (v if v <= pk // 2 else v - pk for v in lifted)
+                  if int_eval(c, r) == 0)
+
+
+def _integer_roots(c: list[int]) -> list[int]:
+    """The integer roots of the integer polynomial c of degree ≥ 1,
+    ascending.
+
+    c may have repeated factors, and then it fails the square-free test
+    at every prime; when it fails at every prime in _TRIAL_PRIMES, the
+    search runs on its radical, which has the same roots and some good
+    prime.
+    """
+    found = _good_prime(c, _TRIAL_PRIMES)
+    if found is None:
+        c = radical(RatPoly(c)).to_integer()[0]
+        found = _good_prime(c)
+    return _lift_roots(c, *found)
+
+
+def _factor_monic_int(H: list[int], out: list[tuple[list[int], bool]]) -> None:
+    """Factor monic square-free integer H; append (coeffs, certified).
+
+    One good prime serves every step, since each factor of H stays
+    square-free mod p.  The integer roots divide out first; what is left
+    has no rational root, so a quadratic is irreducible, and from degree
+    4 on its quadratic factors divide out one at a time.  A residual
+    factor of degree >= 3 is appended whole, not certified.
+    """
+    p, Hp = _good_prime(H)
+    for r in _lift_roots(H, p, Hp):
+        out.append(([-r, 1], True))
+        H = _int_divmod(H, [-r, 1])[0]
+    while len(H) > 4:
+        q = _find_quadratic_factor(H, p)
+        if q is None:
+            break
+        out.append((q, True))
+        H = _int_divmod(H, q)[0]
+    if len(H) > 1:
+        out.append((H, len(H) <= 3))
+
+
+def _find_quadratic_factor(H: list[int], p: int) -> Optional[list[int]]:
+    """A monic integer quadratic factor of monic square-free H, or None,
+    from a prime p at which Hp = H mod p is square-free.
+
+    Candidates are the irreducible quadratic factors of Hp and the
+    products of pairs of its linear factors, lifted to enough p-adic
+    precision to pin integer coefficients.  Any quadratic factor of H
+    reduces to a quadratic divisor of Hp, so this one prime settles the
+    question either way.
+    """
+    Hp = _fp.from_int_coeffs(H, p)
+    roots = _fp.roots(Hp, p)
     rest = Hp
     for a in roots:
         rest = _fp.divmod_(rest, [(-a) % p, 1], p)[0]
@@ -858,11 +836,9 @@ def shift_equivalent(h: RatPoly, h2: RatPoly) -> Optional[int]:
 
 
 def nonnegative_integer_roots(p: RatPoly) -> list[int]:
-    """Sorted distinct integer roots n >= 0 of p (p nonzero).
-
-    Raises UnsupportedInput when the constant term left after the
-    powers of x has too many divisors inside the root bound to test.
-    """
+    """Sorted distinct integer roots n >= 0 of p (p nonzero), from roots
+    mod a good prime lifted by Newton's iteration (see _integer_roots),
+    whatever the size of the coefficients."""
     if p.is_zero:
         raise ValueError("the zero polynomial has every root")
     coeffs = list(p.coeffs)
@@ -873,12 +849,7 @@ def nonnegative_integer_roots(p: RatPoly) -> list[int]:
     ic, _L = RatPoly(coeffs[nz:]).to_integer()
     if len(ic) == 1:
         return roots
-    found = _integer_roots(ic)
-    if found is None:
-        raise UnsupportedInput(
-            "integer roots: the constant term has more than "
-            f"{_MAX_DIVISOR_CANDIDATES} divisors inside the root bound")
-    return roots + [r for r in found if r > 0]
+    return roots + [r for r in _integer_roots(ic) if r > 0]
 
 
 def positive_integer_roots(p: RatPoly) -> list[int]:

@@ -175,14 +175,18 @@ class TestValidate:
         assert err.startswith("error: type=InvalidF message=f has "
                               "nonnegative integer root(s): 1000")
 
-    def test_too_many_root_candidates_unsupported(self):
-        # 2^18 divisors of the product of the first 18 primes, more than
-        # the candidate cap
+    def test_constant_term_with_many_divisors_answered(self):
+        # the product of the first 18 primes has 2^18 divisors; the root
+        # search lifts roots mod a prime and never lists them
         primorial = math.prod(sieve_primes(61))
-        code, out, err = run("validate", "--f", "1", "--g", f"x+{primorial}",
-                             "--u0", "1")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: type=UnsupportedInput")
+        code, out, _ = run("validate", "--f", "1", "--g", f"x+{primorial}",
+                           "--u0", "1")
+        assert code == 0
+        assert "g_positive_integer_roots = none\n" in out
+        code, out, _ = run("validate", "--f", "1", "--g", f"x-{primorial}",
+                           "--u0", "1")
+        assert code == 0
+        assert f"g_positive_integer_roots = {primorial}\n" in out
 
 
 class TestTerms:

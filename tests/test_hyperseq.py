@@ -1,12 +1,13 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hyperval import hyperseq
+from hyperval import hyperseq, numtheory
 from hyperval.asymmetry import slope_fit
 from hyperval.errors import (
     BadPrime,
@@ -110,6 +111,23 @@ class TestMakeSequence:
         assert zero_start.flags.u0_is_zero
         assert zero_start.flags.degenerate_zero
         assert not factorial.flags.degenerate_zero
+
+    def test_validation_factors_no_integer(self, monkeypatch):
+        # a 31-digit product of two primes near 10^15: factoring it by
+        # Brent's rho took seconds, and the root search needs no factoring
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        original = numtheory.factorize
+        for key, mod in list(sys.modules.items()):
+            if key.split(".")[0] == "hyperval" and \
+                    getattr(mod, "factorize", None) is original:
+                monkeypatch.setattr(mod, "factorize", refuse)
+        n = 1000000000000128000000000003367
+        assert make_sequence(ONE, X + RatPoly([n]), 1).flags \
+            .g_positive_integer_roots == ()
+        assert make_sequence(ONE, X - RatPoly([n]), 1).flags \
+            .g_positive_integer_roots == (n,)
 
     def test_max_degree(self, sq_pair, factorial):
         assert sq_pair.max_degree == 2

@@ -1,10 +1,14 @@
+import math
 from fractions import Fraction
 from itertools import islice
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from hyperval import polyq
+from hyperval.numtheory import factorize
 from hyperval.polyq import (
     ONE,
     RatPoly,
@@ -144,6 +148,121 @@ class TestIntegerRoots:
     def test_fractional_roots_ignored(self):
         p = RatPoly([-1, 2]) * (X - RatPoly([5]))  # roots 1/2 and 5
         assert positive_integer_roots(p) == [5]
+
+
+# -- the divisor route that the p-adic root search replaced, as oracle --
+
+
+def oracle_divisors_upto(n, bound):
+    """Positive divisors of |n| that are <= bound, by factoring n."""
+    divs = [1]
+    for q, e in factorize(n).items():
+        fresh = []
+        for d in divs:
+            v = d
+            for _ in range(e):
+                v *= q
+                if v > bound:
+                    break
+                fresh.append(v)
+        divs.extend(fresh)
+    return [d for d in set(divs) if d <= bound]
+
+
+def oracle_integer_roots(c):
+    """Integer roots of c (degree >= 1, c[0] != 0): each divides c[0]
+    and lies inside the Cauchy bound, r - 1 divides c(1) and r + 1
+    divides c(-1); the survivors are evaluated exactly."""
+    bound = max(abs(a) for a in c) // abs(c[-1]) + 2
+    c1, cm1 = int_eval(c, 1), int_eval(c, -1)
+    return [r for d in sorted(oracle_divisors_upto(c[0], bound))
+            for r in (d, -d)
+            if (r == 1 or c1 % (r - 1) == 0)
+            and (r == -1 or cm1 % (r + 1) == 0)
+            and int_eval(c, r) == 0]
+
+
+def oracle_nonnegative_integer_roots(p):
+    coeffs = list(p.coeffs)
+    nz = next(i for i, c in enumerate(coeffs) if c != 0)
+    ic, _ = RatPoly(coeffs[nz:]).to_integer()
+    found = oracle_integer_roots(ic) if len(ic) > 1 else []
+    return ([0] if nz else []) + sorted(r for r in found if r > 0)
+
+
+def oracle_factor(p):
+    """factor() with its integer roots taken from the divisor route."""
+    with mock.patch.object(polyq, "_lift_roots",
+                           lambda c, _p, _cp: oracle_integer_roots(c)):
+        return factor(p)
+
+
+def _random_factor(draw):
+    kind = draw(st.sampled_from(["linear", "fractional", "quadratic",
+                                 "cubic"]))
+    if kind == "linear":
+        return X - RatPoly([draw(st.integers(-40, 40))])
+    if kind == "fractional":
+        return RatPoly([draw(st.integers(-30, 30)), draw(st.integers(1, 6))])
+    return RatPoly([draw(st.integers(-30, 30))
+                    for _ in range(2 if kind == "quadratic" else 3)] + [1])
+
+
+@st.composite
+def random_products(draw):
+    """unit * prod(q**e): linear, fractional-linear, quadratic and cubic
+    factors with multiplicities 1-3."""
+    p = RatPoly([draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))])
+    for _ in range(draw(st.integers(1, 4))):
+        p = p * _random_factor(draw) ** draw(st.integers(1, 3))
+    return p
+
+
+class TestRootSearchDifferential:
+    @given(random_products())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_divisor_route(self, p):
+        assert nonnegative_integer_roots(p) == \
+            oracle_nonnegative_integer_roots(p)
+        got = factor(p)
+        assert got == oracle_factor(p)
+        for f in got.factors:
+            if f.certified:
+                assert to_sympy(f.poly).is_irreducible, f.poly
+
+    def test_repeated_factors_take_the_radical_path(self):
+        big = 10 ** 20
+        p = (X - RatPoly([big])) ** 2 * (X + RatPoly([7])) ** 3 \
+            * (X * X + RatPoly([2]))
+        calls = []
+        real = polyq.radical
+
+        def counting(q):
+            calls.append(q)
+            return real(q)
+
+        with mock.patch.object(polyq, "radical", counting):
+            assert nonnegative_integer_roots(p) == [big]
+        assert len(calls) == 1
+        assert nonnegative_integer_roots(p) == \
+            oracle_nonnegative_integer_roots(p)
+        ff = factor(p)
+        assert ff == oracle_factor(p)
+        assert [(str(f.poly), f.multiplicity, f.certified)
+                for f in ff.factors] == [
+            (f"x - {big}", 2, True), ("x + 7", 3, True), ("x^2 + 2", 1, True)]
+
+    def test_good_prime_past_the_trial_primes(self):
+        # the discriminant P^2 of (x - 1)(x - 1 - P) is divisible by every
+        # odd prime below 100, so the least good prime is 101
+        P = math.prod(q for q in range(3, 100, 2) if sympy.isprime(q))
+        p = (X - ONE) * (X - RatPoly([1 + P]))
+        ic, _ = p.to_integer()
+        assert polyq._good_prime(ic)[0] == 101
+        assert nonnegative_integer_roots(p) == [1, 1 + P]
+        ff = factor(p)
+        assert [(f.poly, f.multiplicity, f.certified) for f in ff.factors] \
+            == [(X - RatPoly([1 + P]), 1, True), (X - ONE, 1, True)]
 
 
 class TestFactor:
