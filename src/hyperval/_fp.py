@@ -124,10 +124,58 @@ def eval_at(a: list[int], x: int, p: int) -> int:
     return acc
 
 
+def frobenius_gcd(a: list[int], q: int, p: int) -> list[int]:
+    """gcd(a, x^q − x) for the nonzero list a, by one pow_mod: for
+    q = p^d, the product of the distinct monic irreducible factors of a
+    whose degree divides d."""
+    return gcd(a, sub(pow_mod([0, 1], q, a, p), [0, 1], p), p)
+
+
+def split(a: list[int], d: int, p: int) -> list[list[int]]:
+    """The distinct monic irreducible factors of degree d ∈ {1, 2} of the
+    nonzero list a, ascending; p an odd prime.
+
+    g = gcd(a, x^(p^d) − x), with the linear part divided out for d = 2,
+    is split by gcd(g, (x+δ)^((p^d−1)/2) − 1) for δ = 0, 1, ….  A
+    factor q with a root α lands in that gcd exactly when the norm of
+    α + δ, (−1)^d·q(−δ), is a nonzero square mod p.  Two roots r₁ ≠ r₂ are
+    separated at some δ < p, since the (p−1)/2 nonzero squares are not
+    invariant under translation by r₂ − r₁.  Two irreducible quadratics
+    q₁ ≠ q₂ are separated at some δ < p, since Weil's bound
+    |Σ_δ χ(q₁(−δ)·q₂(−δ))| ≤ 3√p is below p for p ≥ 11, and the tests
+    check p ∈ {3, 5, 7} exhaustively.  So δ stays below p, and the split
+    is deterministic.
+    """
+    g = frobenius_gcd(a, p, p)
+    if d == 2:
+        g = divmod_(frobenius_gcd(a, p * p, p), g, p)[0]
+    out: list[list[int]] = []
+    _split_equal_degree(g, d, p, 0, out)
+    return sorted(out, key=lambda q: q[::-1])
+
+
+def _split_equal_degree(g: list[int], d: int, p: int, delta: int,
+                        out: list[list[int]]) -> None:
+    # the factors of g agree at every shift below delta, so each piece
+    # resumes the search where its parent found the split
+    e = (p**d - 1) // 2
+    while deg(g) > d:
+        h = gcd(g, sub(pow_mod([delta, 1], e, g, p), [1], p), p)
+        delta += 1
+        if 0 < deg(h) < deg(g):
+            _split_equal_degree(h, d, p, delta, out)
+            g = divmod_(g, h, p)[0]
+    if deg(g) == d:
+        out.append(g)
+
+
 def roots(a: list[int], p: int) -> list[int]:
-    """The distinct roots of the nonzero list a in the p-element field, by
-    a direct scan."""
-    return [x for x in range(p) if eval_at(a, x, p) == 0]
+    """The distinct roots of the nonzero list a in the p-element field,
+    ascending: a two-point check at p = 2, else the linear factors that
+    split finds."""
+    if p == 2:
+        return [x for x in (0, 1) if eval_at(a, x, p) == 0]
+    return sorted(-q[0] % p for q in split(a, 1, p))
 
 
 def lift_root(c: list[int], r: int, p: int, prec: int, k: int) -> int:

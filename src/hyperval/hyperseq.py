@@ -2,10 +2,12 @@
 
 A sequence is defined by f(n)·uₙ = g(n)·uₙ₋₁ with rational polynomials
 f, g and a rational u₀, so uₙ = u₀·∏_{m=1}^{n} g(m)/f(m).  Construction
-canonicalizes (divides out common factors of f and g) and validates that
-f has no positive integer roots; a g with positive integer roots (or
-u₀ = 0) is allowed but flagged, since the sequence is then eventually
-zero.
+canonicalizes (divides out common factors of f and g), factors f and g
+once, and validates that f has no positive integer roots; a g with
+positive integer roots (or u₀ = 0) is allowed but flagged, since the
+sequence is then eventually zero.  The two factor tables are kept, and
+validation, the root-count plan, regularization, the digit identity and
+the class C and D checks all read them; none of them factors again.
 
 Every walk along the sequence steps with one integer form, step_polys:
 uₘ = uₘ₋₁·A(m)/B(m).  TermCursor streams the exact values.  The p-adic
@@ -26,6 +28,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Iterator, Optional, Union
 
+from . import _fp
 from .errors import InvalidF, UnsupportedFactorization, UnsupportedInput
 from .numtheory import (
     INFINITY,
@@ -37,12 +40,12 @@ from .numtheory import (
     reduced_fraction,
     require_prime,
 )
-from .padic import frobenius_root_count, reduce_mod_p
+from .padic import reduce_mod_p
 from .polyq import (
     ONE,
+    FactoredPoly,
     RatPoly,
     RationalFunction,
-    _yun,
     discriminant_quadratic,
     factor,
     int_discriminant,
@@ -51,7 +54,6 @@ from .polyq import (
     parse_poly,
     parse_rational,
     poly_gcd,
-    positive_integer_roots,
     shift_equivalent,
 )
 
@@ -69,16 +71,21 @@ class ValidationFlags:
 
 
 class HypergeomSeq:
-    """Validated recurrence f(n)·uₙ = g(n)·uₙ₋₁ with u₀."""
+    """Validated recurrence f(n)·uₙ = g(n)·uₙ₋₁ with u₀, and the factor
+    tables f_factors = factor(f) and g_factors = factor(g)."""
 
-    __slots__ = ("f", "g", "u0", "flags", "_int_forms", "_root_plan")
+    __slots__ = ("f", "g", "u0", "flags", "f_factors", "g_factors",
+                 "_int_forms", "_root_plan")
 
     def __init__(self, f: RatPoly, g: RatPoly, u0: Fraction,
-                 flags: ValidationFlags):
+                 flags: ValidationFlags, f_factors: FactoredPoly,
+                 g_factors: FactoredPoly):
         self.f = f
         self.g = g
         self.u0 = u0
         self.flags = flags
+        self.f_factors = f_factors
+        self.g_factors = g_factors
         self._int_forms: Optional[tuple[list[int], int, list[int], int]] = None
         self._root_plan: Optional[RootPlan] = None
 
@@ -112,10 +119,12 @@ def make_sequence(f: RatPoly, g: RatPoly,
                   u0: Union[Rational, int, str]) -> HypergeomSeq:
     """Canonicalize and validate a recurrence.
 
-    Common polynomial factors of f and g are divided out first; then f
-    must have no positive integer roots (InvalidF lists offenders) —
-    that is exactly what keeps every uₙ, n ≥ 1, well-defined.  A root
-    of f at 0 is harmless (f is never evaluated there) and legal.
+    Common polynomial factors of f and g are divided out first, and
+    then each is factored once; f must have no positive integer roots
+    (InvalidF lists offenders) — that is exactly what keeps every uₙ,
+    n ≥ 1, well-defined.  A root of f at 0 is harmless (f is never
+    evaluated there) and legal.  The positive integer roots are read off
+    the linear factors.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("f and g must be nonzero")
@@ -125,16 +134,22 @@ def make_sequence(f: RatPoly, g: RatPoly,
     if reduced:
         f = f // common
         g = g // common
-    bad = positive_integer_roots(f)
+    f_factors = factor(f)
+    bad = _positive_integer_roots(f_factors)
     if bad:
-        raise InvalidF(tuple(bad))
-    g_pos = tuple(positive_integer_roots(g))
+        raise InvalidF(bad)
+    g_factors = factor(g)
     flags = ValidationFlags(
         common_factor_removed=reduced,
-        g_positive_integer_roots=g_pos,
+        g_positive_integer_roots=_positive_integer_roots(g_factors),
         u0_is_zero=(u0 == 0),
     )
-    return HypergeomSeq(f, g, u0, flags)
+    return HypergeomSeq(f, g, u0, flags, f_factors, g_factors)
+
+
+def _positive_integer_roots(table: FactoredPoly) -> tuple[int, ...]:
+    roots = (-pf.poly.coeff(0) for pf in table.factors if pf.poly.degree == 1)
+    return tuple(sorted(int(r) for r in roots if r > 0 and r.denominator == 1))
 
 
 def usable_prime(seq: HypergeomSeq, p: int) -> bool:
@@ -156,10 +171,10 @@ class RootPlan:
     polynomial arithmetic.
 
     gate: usable_prime(seq, p) holds exactly when p does not divide it.
-    f_parts, g_parts: the square-free parts of f and g from Yun's
-    decomposition, as (monic part, multiplicity e, D), where D is an
-    integer in the square class of a quadratic part's discriminant and
-    None for any other degree.
+    f_parts, g_parts: the irreducible factors of f and g from the
+    sequence's factor tables, as (monic part, multiplicity e, D), where
+    D is an integer in the square class of a quadratic part's
+    discriminant and None for any other degree.
     """
 
     gate: int
@@ -175,8 +190,9 @@ class RootPlan:
 def _roots_of_parts(parts: tuple, p: int) -> int:
     # past the gate the monic radical of f·g is square-free mod p, so the
     # parts stay square-free and pairwise coprime mod p: each root of a
-    # part is a root of multiplicity exactly e.  A quadratic part's
-    # discriminant is then a p-unit, and it has 1 + (D/p) roots at odd p.
+    # part is a root of multiplicity exactly e, and a part has
+    # deg gcd(part, x^p − x) roots, by one x^p pass.  A quadratic part's
+    # discriminant is a p-unit, and it has 1 + (D/p) roots at odd p.
     total = 0
     for part, e, disc in parts:
         if part.degree == 1:
@@ -184,7 +200,8 @@ def _roots_of_parts(parts: tuple, p: int) -> int:
         elif disc is not None and p != 2:
             total += e * (1 + euler_criterion(disc, p))
         else:
-            total += e * frobenius_root_count(reduce_mod_p(part, p), p)
+            h = reduce_mod_p(part, p)
+            total += e * _fp.deg(_fp.frobenius_gcd(h, p, p))
     return total
 
 
@@ -195,9 +212,9 @@ def _root_plan(seq: HypergeomSeq) -> RootPlan:
     a prime off the first three factors leaves the radical p-integral
     and monic, and it is square-free mod p iff p ∤ disc(R).  f and g
     are coprime (make_sequence divides out their gcd), so the radical
-    is the product of their square-free parts."""
+    is the product of their distinct irreducible factors."""
     f, g = seq.f, seq.g
-    f_parts, g_parts = _square_free_parts(f), _square_free_parts(g)
+    f_parts, g_parts = _plan_parts(seq.f_factors), _plan_parts(seq.g_factors)
     den = math.lcm(*(c.denominator for c in f.coeffs + g.coeffs))
     rad = math.prod((part for part, _, _ in f_parts + g_parts), start=ONE)
     R, _ = rad.to_integer()
@@ -206,14 +223,14 @@ def _root_plan(seq: HypergeomSeq) -> RootPlan:
     return RootPlan(gate, f_parts, g_parts)
 
 
-def _square_free_parts(poly: RatPoly) -> tuple:
+def _plan_parts(table: FactoredPoly) -> tuple:
     parts = []
-    for part, e in _yun(poly.monic()):
+    for pf in table.factors:
         disc = None
-        if part.degree == 2:
-            d = discriminant_quadratic(part)
+        if pf.poly.degree == 2:
+            d = discriminant_quadratic(pf.poly)
             disc = d.numerator * d.denominator
-        parts.append((part, e, disc))
+        parts.append((pf.poly, pf.multiplicity, disc))
     return tuple(parts)
 
 
@@ -446,8 +463,7 @@ def regularize(seq: HypergeomSeq) -> RegularizationResult:
             f"{seq.flags.g_positive_integer_roots}; the telescoping "
             "constants vanish on the zero tail"
         )
-    ff = factor(seq.f)
-    gf = factor(seq.g)
+    ff, gf = seq.f_factors, seq.g_factors
     for fac in (ff, gf):
         if not fac.is_certified:
             bad = [str(pf.poly) for pf in fac.factors if not pf.certified]

@@ -1,11 +1,12 @@
 """Polynomials over prime fields and p-adic root machinery.
 
 Covers reduction of rational polynomials mod p, root counting in the
-p-element field via gcd with x^p - x, detection of primes where every
-root lifts uniquely, Newton/Hensel lifting to prime-power precision, and
+p-element field via gcd with x^p - x, the roots themselves from the
+split kernel _fp.split, detection of primes where every root lifts
+uniquely, Newton/Hensel lifting to prime-power precision, and
 digit-level diagnostics of lifted roots (zero runs and the valuation
 identity at n = p^s that ties digit runs to ν_p(u_n), over the roots
-of the square-free parts in the sequence's RootPlan).
+of the irreducible factors in the sequence's RootPlan).
 Public functions check that p is prime; the kernels on reduced lists
 (reduce_mod_p, frobenius_root_count, is_squarefree_mod_p) trust it.
 """
@@ -23,7 +24,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .numtheory import fraction_valuation, mod_rep, require_prime
-from .polyq import RatPoly
+from .polyq import X, RatPoly
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .hyperseq import HypergeomSeq
@@ -59,14 +60,12 @@ def frobenius_root_count(h: list[int], p: int) -> int:
 
     Iterated gcd with x^p - x (x^p computed by modular exponentiation):
     each pass collects deg gcd roots and divides them out, so a root of
-    multiplicity e is counted e times.  Simple roots with multiplicity 1
-    everywhere reduce this to the classical deg gcd(f, x^p - x) count.
+    multiplicity e is counted e times.  A square-free h needs only the
+    first pass, deg gcd(h, x^p - x), which is how the RootPlan counts.
     """
     total = 0
     while _fp.deg(h) > 0:
-        xp = _fp.pow_mod([0, 1], p, h, p)
-        frob = _fp.sub(xp, [0, 1], p)
-        r = _fp.gcd(h, frob, p)
+        r = _fp.frobenius_gcd(h, p, p)
         if _fp.deg(r) <= 0:
             break
         total += _fp.deg(r)
@@ -75,7 +74,9 @@ def frobenius_root_count(h: list[int], p: int) -> int:
 
 
 def roots_mod_p(f: RatPoly, p: int) -> list[int]:
-    """The distinct roots of f in the p-element field (direct scan)."""
+    """The distinct roots of f in the p-element field, ascending, from
+    the split kernel: gcd(f, x^p − x) split by gcd with
+    (x+δ)^((p−1)/2) − 1 (a two-point check at p = 2)."""
     require_prime(p)
     c = reduce_mod_p(f, p)
     if not c:
@@ -216,26 +217,18 @@ def zero_run_length(root: PadicRoot, s: int) -> int:
 # -- the valuation identity at n = p^s ---------------------------------
 
 
-def _c_count(root: PadicRoot, s: int, p: int) -> int:
-    """#{r > s : 1 ≤ (root mod p^r) ≤ p^s}: the digit-run count feeding
-    the valuation identity."""
-    ps = p**s
-    count = 0
-    r = s + 1
-    while True:
-        if r > DEFAULT_DIGIT_CAP:
-            raise PrecisionExhausted(
-                f"truncation scan passed the {DEFAULT_DIGIT_CAP}-digit cap"
-            )
-        if root.precision < r:
-            root = root.lift_to(min(max(2 * root.precision, r),
-                                    DEFAULT_DIGIT_CAP))
-        tau = root.value % p**r
-        if tau > ps:
-            return count
-        if tau >= 1:
-            count += 1
-        r += 1
+def _c_count(root: PadicRoot, s: int) -> int:
+    """#{r > s : 1 ≤ (root mod p^r) ≤ p^s}, the digit-run count feeding
+    the valuation identity, for a root lifted past digit s.
+
+    When root mod p^s ≠ 0, a truncation past s stays at most p^s exactly
+    while the digits from s on are zero.  When root ≡ 0 mod p^s, the
+    only such truncation is p^s itself: digit s is 1 and the digits
+    after it are zero.
+    """
+    if root.value % root.p**s:
+        return zero_run_length(root, s)
+    return 1 + zero_run_length(root, s + 1) if root.digit(s) == 1 else 0
 
 
 def valuation_at_prime_power(seq: "HypergeomSeq", p: int,
@@ -253,11 +246,11 @@ def valuation_at_prime_power(seq: "HypergeomSeq", p: int,
     cancel, u₀ a p-adic unit, and u_{p^s} ≠ 0: no positive integer
     root of g at most p^s.
 
-    The counts and the roots come from the square-free parts in the
+    The counts and the roots come from the irreducible factors in the
     sequence's RootPlan.  Past its gate the parts are square-free and
     pairwise coprime mod p, so each root of a part of multiplicity e is
-    simple and counts e times; x is divided out of a part that it
-    divides, since the exact root 0 adds no digits: its truncations are 0.
+    simple and counts e times; the factor x is skipped, since the exact
+    root 0 adds no digits: its truncations are 0.
     """
     from .hyperseq import term_valuation, usable_prime
 
@@ -280,14 +273,12 @@ def valuation_at_prime_power(seq: "HypergeomSeq", p: int,
         raise ValueError("g has a positive integer root at most p^s, "
                          "so u_{p^s} = 0")
 
-    roots = []  # (signed weight, square-free part, root mod p)
+    roots = []  # (signed weight, irreducible factor, root mod p)
     for parts, sign in ((plan.f_parts, -1), (plan.g_parts, +1)):
-        for part, e, _ in parts:
-            if part.coeff(0) == 0:
-                part = RatPoly(part.coeffs[1:])
-            roots += [(sign * e, part, a) for a in roots_mod_p(part, p)]
+        roots += [(sign * e, part, a) for part, e, _ in parts if part != X
+                  for a in roots_mod_p(part, p)]
     direct = term_valuation(seq, ps, p)
     start = max(2 * s, 4)
-    digit_side = sum(weight * _c_count(hensel_lift(part, p, a, start), s, p)
+    digit_side = sum(weight * _c_count(hensel_lift(part, p, a, start), s)
                      for weight, part, a in roots)
     return int(direct), digit_side

@@ -9,16 +9,20 @@ integer-shift detection, factored rational functions, and the
 expression grammar that ``str(RatPoly)`` writes (:func:`parse_poly`,
 :func:`parse_rational`).
 
-Factoring strategy: strip powers of x, make the polynomial monic with
-integer coefficients, run Yun's square-free decomposition, then work at
-one good prime p, the least odd prime that keeps the part square-free
-and of full degree: integer roots are roots mod p lifted by Newton's
-iteration and tested exactly, and monic quadratic factors are candidates
-mod p lifted by Hensel's lemma and tested by exact division.  No integer
-is factored.  Residual factors of degree >= 3 are returned opaque and
-flagged not certified irreducible; degree <= 2 factors are always
-certified (a monic integer quadratic with no integer root is
-irreducible).
+Factoring strategy: strip powers of x, run Yun's square-free
+decomposition, make each part monic with integer coefficients, then
+work at one good prime p, the least odd prime that keeps the part
+square-free and of full degree.  The part is split mod p once, by the
+deterministic kernel _fp.split (no residue scan, no search over
+quadratics): integer roots are its roots mod p lifted by Newton's
+iteration and tested exactly, and monic quadratic factors are its
+irreducible quadratic factors and pairs of its roots mod p, lifted by
+Hensel's lemma and tested by exact division.  No integer is factored.
+Residual factors of degree >= 3 are returned opaque and flagged not
+certified irreducible; degree <= 2 factors are always certified (a
+monic integer quadratic with no integer root is irreducible).  A
+sequence factors f and g once, when it is built (hyperseq.make_sequence),
+and everything downstream reads those tables.
 """
 
 from __future__ import annotations
@@ -34,18 +38,13 @@ from . import _fp
 from .errors import PolyParseError
 from .numtheory import Rational, is_prime
 
-# a polynomial that may have repeated factors is tried at these primes
-# before its radical is taken
-_TRIAL_PRIMES = tuple(filter(is_prime, range(3, 20, 2)))
-
-
 class RatPoly:
     """Immutable dense polynomial over Q. Coefficients little-endian."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[Rational | int | str] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._c = tuple(cs)
@@ -136,8 +135,9 @@ class RatPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __divmod__(self, other):
@@ -178,7 +178,7 @@ class RatPoly:
         return RatPoly([i * c for i, c in enumerate(self._c)][1:])
 
     def monic(self) -> "RatPoly":
-        if self.is_zero:
+        if self.is_zero or self._c[-1] == 1:
             return self
         lc = self.leading
         return RatPoly([c / lc for c in self._c])
@@ -196,6 +196,8 @@ class RatPoly:
 
     def scale_arg(self, c: Rational | int) -> "RatPoly":
         """p(c * x)."""
+        if c == 1:
+            return self
         c = Fraction(c)
         return RatPoly([a * c**i for i, a in enumerate(self._c)])
 
@@ -584,32 +586,26 @@ def _int_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, r
 
 
-def _good_prime(c: list[int], primes: Optional[Iterable[int]] = None
-                ) -> Optional[tuple[int, list[int]]]:
-    """(p, c mod p) for the least p in primes (by default every odd
-    prime) at which the integer polynomial c keeps its degree and is
-    square-free, or None if there is none.
+def _good_prime(c: list[int]) -> tuple[int, list[int]]:
+    """(p, c mod p) for the least odd prime p at which the square-free
+    integer polynomial c keeps its degree and stays square-free.
 
-    Over every odd prime the search ends when c is square-free: only the
-    finitely many primes dividing its leading coefficient or its
-    discriminant fail.
+    The search ends: only the finitely many primes dividing the leading
+    coefficient or the discriminant of c fail.
     """
-    if primes is None:
-        primes = filter(is_prime, itertools.count(3, 2))
-    for p in primes:
+    for p in filter(is_prime, itertools.count(3, 2)):
         cp = _fp.from_int_coeffs(c, p)
         if len(cp) == len(c) and \
                 _fp.deg(_fp.gcd(cp, _fp.derivative(cp, p), p)) == 0:
             return p, cp
-    return None
 
 
-def _lift_roots(c: list[int], p: int, cp: list[int]) -> list[int]:
+def _lift_roots(c: list[int], p: int, roots: list[int]) -> list[int]:
     """The integer roots of the integer polynomial c, ascending, from a
-    good prime p and cp = c mod p.
+    good prime p and the roots of c mod p.
 
-    An integer root r reduces to a root of cp, simple since cp is
-    square-free, and Newton's iteration lifts that root to the one
+    An integer root r reduces to a root mod p, simple since c is
+    square-free mod p, and Newton's iteration lifts that root to the one
     p-adic root above it.  Lifted past twice the Cauchy bound
     |r| < max|c| // |lc| + 2, the symmetric representative is the only
     candidate, and int_eval tests it exactly.  No float is formed.
@@ -618,94 +614,45 @@ def _lift_roots(c: list[int], p: int, cp: list[int]) -> list[int]:
     k, pk = 1, p
     while pk <= 2 * bound:
         k, pk = k + 1, pk * p
-    lifted = (_fp.lift_root(c, a, p, 1, k) for a in _fp.roots(cp, p))
+    lifted = (_fp.lift_root(c, a, p, 1, k) for a in roots)
     return sorted(r for r in (v if v <= pk // 2 else v - pk for v in lifted)
                   if int_eval(c, r) == 0)
-
-
-def _integer_roots(c: list[int]) -> list[int]:
-    """The integer roots of the integer polynomial c of degree ≥ 1,
-    ascending.
-
-    c may have repeated factors, and then it fails the square-free test
-    at every prime; when it fails at every prime in _TRIAL_PRIMES, the
-    search runs on its radical, which has the same roots and some good
-    prime.
-    """
-    found = _good_prime(c, _TRIAL_PRIMES)
-    if found is None:
-        c = radical(RatPoly(c)).to_integer()[0]
-        found = _good_prime(c)
-    return _lift_roots(c, *found)
 
 
 def _factor_monic_int(H: list[int], out: list[tuple[list[int], bool]]) -> None:
     """Factor monic square-free integer H; append (coeffs, certified).
 
-    One good prime serves every step, since each factor of H stays
-    square-free mod p.  The integer roots divide out first; what is left
-    has no rational root, so a quadratic is irreducible, and from degree
-    4 on its quadratic factors divide out one at a time.  A residual
-    factor of degree >= 3 is appended whole, not certified.
+    One good prime p serves every step, since each factor of H stays
+    square-free mod p, and the factors of H mod p are split once.  The
+    integer roots divide out first; what is left has no rational root,
+    so a quadratic is irreducible.  From degree 4 on, the candidates for
+    its quadratic factors are the irreducible quadratic factors mod p
+    and the products of pairs of the remaining roots mod p, since any
+    quadratic factor of H reduces to one of them; each is lifted to
+    enough p-adic precision to pin integer coefficients and divides out
+    when exact division confirms it.  A residual factor of degree >= 3
+    is appended whole, not certified.
     """
     p, Hp = _good_prime(H)
-    for r in _lift_roots(H, p, Hp):
+    roots = _fp.roots(Hp, p)
+    for r in _lift_roots(H, p, roots):
         out.append(([-r, 1], True))
         H = _int_divmod(H, [-r, 1])[0]
-    while len(H) > 4:
-        q = _find_quadratic_factor(H, p)
-        if q is None:
-            break
-        out.append((q, True))
-        H = _int_divmod(H, q)[0]
+        roots.remove(r % p)
+    if len(H) > 4:
+        candidates = _fp.split(Hp, 2, p) + [
+            _fp.mul([-a % p, 1], [-b % p, 1], p)
+            for a, b in itertools.combinations(roots, 2)]
+        bound = _quadratic_coeff_bound(H)
+        for cand in candidates:
+            if len(H) <= 4:
+                break
+            q = _lift_and_test(H, cand, p, bound)
+            if q is not None:
+                out.append((q, True))
+                H = _int_divmod(H, q)[0]
     if len(H) > 1:
         out.append((H, len(H) <= 3))
-
-
-def _find_quadratic_factor(H: list[int], p: int) -> Optional[list[int]]:
-    """A monic integer quadratic factor of monic square-free H, or None,
-    from a prime p at which Hp = H mod p is square-free.
-
-    Candidates are the irreducible quadratic factors of Hp and the
-    products of pairs of its linear factors, lifted to enough p-adic
-    precision to pin integer coefficients.  Any quadratic factor of H
-    reduces to a quadratic divisor of Hp, so this one prime settles the
-    question either way.
-    """
-    Hp = _fp.from_int_coeffs(H, p)
-    roots = _fp.roots(Hp, p)
-    rest = Hp
-    for a in roots:
-        rest = _fp.divmod_(rest, [(-a) % p, 1], p)[0]
-    # rest now has only irreducible factors of degree >= 2 mod p, so its
-    # monic quadratic divisors are exactly its irreducible quadratic factors
-    quads: list[list[int]] = []
-    while _fp.deg(rest) > 0:
-        hit = None
-        for b in range(p):
-            for c in range(p):
-                cand = [c, b, 1]
-                q, r = _fp.divmod_(rest, cand, p)
-                if not r:
-                    hit = cand
-                    rest = q
-                    break
-            if hit:
-                break
-        if hit is None:
-            break  # leftover has no quadratic factor mod p
-        quads.append(hit)
-
-    candidates = list(quads)
-    for a, b in itertools.combinations(roots, 2):
-        candidates.append(_fp.mul([(-a) % p, 1], [(-b) % p, 1], p))
-
-    bound = _quadratic_coeff_bound(H)
-    for cand in candidates:
-        q = _lift_and_test(H, cand, p, bound)
-        if q is not None:
-            return q
-    return None
 
 
 def _quadratic_coeff_bound(H: list[int]) -> int:
@@ -833,27 +780,6 @@ def shift_equivalent(h: RatPoly, h2: RatPoly) -> Optional[int]:
         return None
     d = int(diff)
     return d if h2.shift_arg(d) == h else None
-
-
-def nonnegative_integer_roots(p: RatPoly) -> list[int]:
-    """Sorted distinct integer roots n >= 0 of p (p nonzero), from roots
-    mod a good prime lifted by Newton's iteration (see _integer_roots),
-    whatever the size of the coefficients."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial has every root")
-    coeffs = list(p.coeffs)
-    nz = 0
-    while coeffs[nz] == 0:
-        nz += 1
-    roots = [0] if nz else []
-    ic, _L = RatPoly(coeffs[nz:]).to_integer()
-    if len(ic) == 1:
-        return roots
-    return roots + [r for r in _integer_roots(ic) if r > 0]
-
-
-def positive_integer_roots(p: RatPoly) -> list[int]:
-    return [r for r in nonnegative_integer_roots(p) if r > 0]
 
 
 def radical(p: RatPoly) -> RatPoly:

@@ -31,7 +31,7 @@ from .numtheory import (
     squarefree_part,
     tonelli_shanks,
 )
-from .polyq import discriminant_quadratic, factor
+from .polyq import FactoredPoly, discriminant_quadratic
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,16 @@ class DiscriminantProfile:
         return f"discriminants={{{discs}}} prime-support=[{support}]{note}"
 
 
-def _factor_tags(poly) -> list[int]:
-    """One tag per irreducible factor of poly, repeated by multiplicity.
+def _factor_tags(table: FactoredPoly) -> list[int]:
+    """One tag per irreducible factor in a sequence's factor table,
+    repeated by multiplicity.
 
     A linear factor is tagged 1 and an irreducible quadratic with the
     square-free part of its discriminant, which is never 1.  A factor of
     degree above 2, or one the factorization cannot certify, raises.
     """
     tags: list[int] = []
-    for pf in factor(poly).factors:
+    for pf in table.factors:
         if not pf.certified or pf.poly.degree > 2:
             raise UnsupportedFactorization(
                 f"cannot certify the factor {pf.poly} "
@@ -88,8 +89,8 @@ def _factor_tags(poly) -> list[int]:
 
 def discriminant_profile(seq: HypergeomSeq) -> DiscriminantProfile:
     """Collect Δ = squarefree part of disc over irreducible quadratics."""
-    discs = {d for poly in (seq.f, seq.g) for d in _factor_tags(poly)
-             if d != 1}
+    discs = {d for table in (seq.f_factors, seq.g_factors)
+             for d in _factor_tags(table) if d != 1}
     support: set[int] = set()
     for d in discs:
         support.update(factorize(abs(d)) if abs(d) > 1 else ())
@@ -441,4 +442,5 @@ def class_d_quadratic_check(seq: HypergeomSeq) -> bool:
     no pairing of parameters can then generate equal number fields with
     equal discriminant classes.
     """
-    return sorted(_factor_tags(seq.f)) != sorted(_factor_tags(seq.g))
+    return sorted(_factor_tags(seq.f_factors)) != \
+        sorted(_factor_tags(seq.g_factors))

@@ -19,6 +19,7 @@ from hyperval.asymmetry import (
     scan_primes,
     slope_fit,
 )
+from hyperval import _fp
 from hyperval.errors import (
     InvalidF,
     NotHenselPrime,
@@ -346,6 +347,25 @@ class TestRootPlan:
         assert sorted((part.degree, e) for part, e, _
                       in seq.root_plan().f_parts) == [(2, 1), (3, 2)]
         self._check(seq)
+
+    def test_one_x_to_the_p_pass_per_part(self, monkeypatch):
+        # past the gate each cubic part is square-free mod p, so its
+        # count is deg gcd(part, x^p - x): one pow_mod per part per
+        # usable prime, and none for an unusable or excluded prime
+        seq = make_sequence(RatPoly([-2, 0, 0, 1]), RatPoly([-3, 0, 0, 1]),
+                            Fraction(1))
+        calls = []
+        real = _fp.pow_mod
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(_fp, "pow_mod", counting)
+        outcomes = [o for _, o in scan_primes(seq, 2, 3000)]
+        usable = sum(o not in ("unusable", "excluded") for o in outcomes)
+        assert usable > 400
+        assert len(calls) == 2 * usable
 
 
 class TestEnvelope:

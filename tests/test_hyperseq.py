@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hyperval import hyperseq, numtheory
+from hyperval import hyperseq, numtheory, polyq
 from hyperval.asymmetry import slope_fit
 from hyperval.errors import (
     BadPrime,
@@ -35,7 +35,12 @@ from hyperval.numtheory import (
     sieve_primes,
     weil_height_exact,
 )
-from hyperval.padic import is_hensel_prime
+from hyperval.padic import is_hensel_prime, valuation_at_prime_power
+from hyperval.quadratic import (
+    class_c_check,
+    class_d_quadratic_check,
+    discriminant_profile,
+)
 from hyperval.polyq import ONE, RatPoly, X, int_eval, radical
 
 from conftest import polynomial_usable_prime
@@ -128,6 +133,48 @@ class TestMakeSequence:
             .g_positive_integer_roots == ()
         assert make_sequence(ONE, X - RatPoly([n]), 1).flags \
             .g_positive_integer_roots == (n,)
+
+    def test_factor_tables(self):
+        f = (X + ONE) ** 2 * (X * X - RatPoly([2]))
+        seq = make_sequence(f * X, RatPoly([3]) * X * X * (X - RatPoly([5])),
+                            Fraction(1))
+        assert seq.f_factors == polyq.factor(seq.f)
+        assert seq.g_factors == polyq.factor(seq.g)
+        assert [(str(pf.poly), pf.multiplicity)
+                for pf in seq.f_factors.factors] == [("x + 1", 2),
+                                                    ("x^2 - 2", 1)]
+        assert seq.g_factors.unit == 3
+        assert seq.flags.g_positive_integer_roots == (5,)
+
+    def test_one_factorization_per_sequence(self, monkeypatch):
+        # make_sequence factors f and g once each; the plan, the class C
+        # and D checks, the digit identity and regularize read the
+        # tables, and regularize factors only the sequence it builds
+        calls = []
+        original = polyq.factor
+
+        def counting(poly):
+            calls.append(poly)
+            return original(poly)
+
+        for key, mod in list(sys.modules.items()):
+            if key.split(".")[0] == "hyperval" and \
+                    getattr(mod, "factor", None) is original:
+                monkeypatch.setattr(mod, "factor", counting)
+        f = (X + ONE) * (X * X - RatPoly([2]))
+        g = (X + RatPoly([3])) * (X * X - RatPoly([8]))
+        seq = make_sequence(f, g, Fraction(1))
+        assert calls == [seq.f, seq.g]
+        calls.clear()
+        seq.root_plan()
+        assert class_c_check(seq) and not class_d_quadratic_check(seq)
+        assert discriminant_profile(seq).discs == {2}
+        p = next(p for p in sieve_primes(100) if usable_prime(seq, p))
+        direct, digits = valuation_at_prime_power(seq, p, 1)
+        assert direct == digits
+        assert calls == []
+        result = regularize(seq)
+        assert calls == [result.regular_seq.f, result.regular_seq.g]
 
     def test_max_degree(self, sq_pair, factorial):
         assert sq_pair.max_degree == 2

@@ -1,9 +1,11 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperval import padic
+from hyperval import _fp, padic
 from hyperval.errors import (
     BadPrime,
     NotHenselPrime,
@@ -11,8 +13,9 @@ from hyperval.errors import (
     PrecisionExhausted,
 )
 from hyperval.hyperseq import make_sequence, term_valuation
-from hyperval.numtheory import fraction_valuation, sieve_primes
+from hyperval.numtheory import euler_criterion, fraction_valuation, sieve_primes
 from hyperval.padic import (
+    DEFAULT_DIGIT_CAP,
     _c_count,
     count_roots_mod_p,
     hensel_lift,
@@ -22,9 +25,11 @@ from hyperval.padic import (
     valuation_at_prime_power,
     zero_run_length,
 )
-from hyperval.polyq import ONE, RatPoly, X, _yun, poly_gcd
+from hyperval.polyq import ONE, RatPoly, X, _yun, int_eval, poly_gcd
 
 from conftest import polynomial_usable_prime
+
+ODD_PRIMES_TO_2000 = sieve_primes(2000)[1:]
 
 
 def count_roots_oracle(coeffs, p):
@@ -93,6 +98,110 @@ class TestCountRoots:
         assert roots_mod_p(X * X - ONE, 7) == [1, 6]
         assert roots_mod_p(X * X, 7) == [0]
         assert roots_mod_p(X * X + ONE, 7) == []
+        assert roots_mod_p(X * X + X, 2) == [0, 1]
+        assert roots_mod_p(X * X + X + ONE, 2) == []
+
+
+# -- the residue scan and the quadratic search that _fp.split replaced --
+
+
+def oracle_roots(a, p):
+    """The distinct roots of the reduced list a, by a scan of every
+    residue (Horner's rule over all of them at once)."""
+    vals = [0] * p
+    for c in reversed(a):
+        vals = [(v * x + c) % p for x, v in enumerate(vals)]
+    return [x for x, v in enumerate(vals) if v == 0]
+
+
+def oracle_quadratic_factors(a, p):
+    """The distinct monic irreducible quadratic factors of a, by the
+    search over all p² monic quadratics: with the roots divided out,
+    every monic quadratic divisor of what is left is irreducible."""
+    rest = a
+    for r in oracle_roots(a, p):
+        while _fp.eval_at(rest, r, p) == 0:
+            rest = _fp.divmod_(rest, [-r % p, 1], p)[0]
+    return [[c, b, 1] for b in range(p) for c in range(p)
+            if not _fp.divmod_(rest, [c, b, 1], p)[1]]
+
+
+def random_product(rng, p):
+    """A monic product of random monic factors of degree 1-3 mod p, some
+    of them repeated."""
+    a = [1]
+    for _ in range(rng.randint(1, 4)):
+        q = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+        a = _fp.mul(a, q, p)
+        if rng.random() < 0.3:
+            a = _fp.mul(a, q, p)
+    return a
+
+
+def _reduced_product(seq, p):
+    """f·g mod p, or None where a denominator or the whole product
+    vanishes mod p."""
+    fg = seq.f * seq.g
+    if any(c.denominator % p == 0 for c in fg.coeffs):
+        return None
+    return reduce_mod_p(fg, p) or None
+
+
+FIXTURES_FOR_ROOTS = ("factorial", "telescoping", "sq_pair", "class_c_seq",
+                      "twin_field", "catalan", "eventually_zero",
+                      "fractional_coeffs", "double_root", "sym_pair",
+                      "mixed_degree")
+
+
+class TestSplitKernel:
+    @pytest.mark.parametrize("name", FIXTURES_FOR_ROOTS)
+    def test_roots_match_the_scan_on_fixtures(self, name, request):
+        seq = request.getfixturevalue(name)
+        for p in ODD_PRIMES_TO_2000:
+            a = _reduced_product(seq, p)
+            if a is not None:
+                assert _fp.roots(a, p) == oracle_roots(a, p), (a, p)
+
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+           st.lists(st.integers(-30, 30), min_size=0, max_size=3),
+           st.integers(1, 3), st.sampled_from(ODD_PRIMES_TO_2000))
+    @settings(max_examples=150, deadline=None)
+    def test_roots_match_the_scan_with_repeated_roots(self, base, extra, e,
+                                                       p):
+        # base^e * extra, so every root of base is a root of order >= e
+        a = [1]
+        for _ in range(e):
+            a = _fp.mul(a, _fp.from_int_coeffs(base + [1], p), p)
+        a = _fp.mul(a, _fp.from_int_coeffs(extra + [1], p), p)
+        assert _fp.roots(a, p) == oracle_roots(a, p)
+
+    def test_quadratic_factors_match_the_search(self):
+        rng = random.Random(2024)
+        for p in sieve_primes(200)[1:]:
+            a = random_product(rng, p)
+            assert _fp.split(a, 2, p) == oracle_quadratic_factors(a, p), \
+                (a, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_pair_of_quadratics_separates(self, p):
+        # Weil's bound covers p >= 11; below it, every pair of distinct
+        # monic irreducible quadratics q1, q2 must still differ in the
+        # symbol of q(-delta) at some delta < p, and split must part them
+        irreducible = [[c, b, 1] for b in range(p) for c in range(p)
+                       if euler_criterion(b * b - 4 * c, p) == -1]
+        assert len(irreducible) == (p * p - p) // 2
+        for q1, q2 in itertools.combinations(irreducible, 2):
+            assert any(euler_criterion(_fp.eval_at(q1, -d, p), p)
+                       != euler_criterion(_fp.eval_at(q2, -d, p), p)
+                       for d in range(p)), (q1, q2)
+            assert _fp.split(_fp.mul(q1, q2, p), 2, p) == sorted(
+                [q1, q2], key=lambda q: q[::-1])
+
+    def test_large_prime_takes_no_scan(self):
+        # a residue scan would evaluate x^3 - 2 at 10^9 + 7 points
+        p = 10**9 + 7
+        roots = roots_mod_p(X ** 3 - RatPoly([2]), p)
+        assert roots and all(pow(r, 3, p) == 2 for r in roots)
 
 
 class TestHenselPrime:
@@ -246,9 +355,52 @@ def _polynomial_valuation_at_prime_power(seq, p, s):
         raise ValueError("u0 must be a p-adic unit")
     direct = term_valuation(seq, p**s, p)
     start = max(2 * s, 4)
-    digit_side = sum(weight * _c_count(hensel_lift(part, p, a, start), s, p)
-                     for weight, part, a in roots)
+    digit_side = sum(
+        weight * oracle_truncation_count(hensel_lift(part, p, a, start), s, p)
+        for weight, part, a in roots)
     return int(direct), digit_side
+
+
+def oracle_truncation_count(root, s, p):
+    """#{r > s : 1 <= (root mod p^r) <= p^s}, by a scan over r that
+    lifts the root further on demand: the loop _c_count replaced."""
+    ps = p**s
+    count = 0
+    r = s + 1
+    while True:
+        if r > DEFAULT_DIGIT_CAP:
+            raise PrecisionExhausted("truncation scan passed the cap")
+        if root.precision < r:
+            root = root.lift_to(min(max(2 * root.precision, r),
+                                    DEFAULT_DIGIT_CAP))
+        tau = root.value % p**r
+        if tau > ps:
+            return count
+        if tau >= 1:
+            count += 1
+        r += 1
+
+
+class TestTruncationCount:
+    def test_matches_the_truncation_scan(self):
+        # irrational roots of x^2 + b*x + c: c = p^j * k makes one root
+        # divisible by p^j, so both branches of _c_count are reached
+        checked = at_zero = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            for b, j, k in itertools.product(range(1, 5), range(5), (1, -2)):
+                poly = [k * p**j, b, 1]
+                if any(int_eval(poly, r) == 0 for r in range(-40, 41)):
+                    continue  # a rational root: its zero run never ends
+                if not is_hensel_prime(RatPoly(poly), p):
+                    continue
+                for a in roots_mod_p(RatPoly(poly), p):
+                    for s in range(5):
+                        root = hensel_lift(RatPoly(poly), p, a, max(2 * s, 4))
+                        at_zero += s > 0 and root.value % p**s == 0
+                        assert _c_count(root, s) == \
+                            oracle_truncation_count(root, s, p), (poly, p, s)
+                        checked += 1
+        assert checked > 1500 and at_zero > 400
 
 
 class TestValuationAtPrimePower:

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from itertools import islice
 from unittest import mock
@@ -8,7 +9,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hyperval import polyq
-from hyperval.numtheory import factorize
+from hyperval.errors import InvalidF
+from hyperval.hyperseq import make_sequence
+from hyperval.numtheory import factorize, sieve_primes
 from hyperval.polyq import (
     ONE,
     RatPoly,
@@ -19,9 +22,7 @@ from hyperval.polyq import (
     int_discriminant,
     int_eval,
     int_values,
-    nonnegative_integer_roots,
     poly_gcd,
-    positive_integer_roots,
     radical,
     shift_equivalent,
 )
@@ -138,16 +139,33 @@ class TestShiftEquivalent:
             shift_equivalent(X, X * X)
 
 
+def table_nonnegative_integer_roots(table):
+    """The nonnegative integer roots in a factor table, ascending: the
+    roots of its monic linear factors x - r with r an integer >= 0."""
+    return sorted(int(-f.poly.coeff(0)) for f in table.factors
+                  if f.poly.degree == 1 and -f.poly.coeff(0) >= 0
+                  and f.poly.coeff(0).denominator == 1)
+
+
+def g_positive_integer_roots(p):
+    """The positive integer roots of p as validation flags them, with p
+    as the g of a sequence."""
+    return make_sequence(ONE, p, 1).flags.g_positive_integer_roots
+
+
 class TestIntegerRoots:
     def test_hand_cases(self):
         p = X * (X - RatPoly([3])) * (X + RatPoly([2]))
-        assert nonnegative_integer_roots(p) == [0, 3]
-        assert positive_integer_roots(p) == [3]
-        assert positive_integer_roots(X * X + ONE) == []
+        assert table_nonnegative_integer_roots(factor(p)) == [0, 3]
+        assert g_positive_integer_roots(p) == (3,)
+        with pytest.raises(InvalidF) as err:
+            make_sequence(p, ONE, 1)
+        assert err.value.roots == (3,)
+        assert g_positive_integer_roots(X * X + ONE) == ()
 
     def test_fractional_roots_ignored(self):
         p = RatPoly([-1, 2]) * (X - RatPoly([5]))  # roots 1/2 and 5
-        assert positive_integer_roots(p) == [5]
+        assert g_positive_integer_roots(p) == (5,)
 
 
 # -- the divisor route that the p-adic root search replaced, as oracle --
@@ -222,15 +240,19 @@ class TestRootSearchDifferential:
     @given(random_products())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_divisor_route(self, p):
-        assert nonnegative_integer_roots(p) == \
-            oracle_nonnegative_integer_roots(p)
         got = factor(p)
+        want = oracle_nonnegative_integer_roots(p)
+        assert table_nonnegative_integer_roots(got) == want
+        assert g_positive_integer_roots(p) == tuple(r for r in want if r)
         assert got == oracle_factor(p)
         for f in got.factors:
             if f.certified:
                 assert to_sympy(f.poly).is_irreducible, f.poly
 
-    def test_repeated_factors_take_the_radical_path(self):
+    def test_repeated_factors_make_no_radical_call(self):
+        # the roots come from the factor table, whose square-free parts
+        # come from Yun's decomposition, so validation never takes the
+        # radical of a polynomial with repeated factors
         big = 10 ** 20
         p = (X - RatPoly([big])) ** 2 * (X + RatPoly([7])) ** 3 \
             * (X * X + RatPoly([2]))
@@ -242,10 +264,9 @@ class TestRootSearchDifferential:
             return real(q)
 
         with mock.patch.object(polyq, "radical", counting):
-            assert nonnegative_integer_roots(p) == [big]
-        assert len(calls) == 1
-        assert nonnegative_integer_roots(p) == \
-            oracle_nonnegative_integer_roots(p)
+            assert g_positive_integer_roots(p) == (big,)
+        assert calls == []
+        assert oracle_nonnegative_integer_roots(p) == [big]
         ff = factor(p)
         assert ff == oracle_factor(p)
         assert [(str(f.poly), f.multiplicity, f.certified)
@@ -259,13 +280,29 @@ class TestRootSearchDifferential:
         p = (X - ONE) * (X - RatPoly([1 + P]))
         ic, _ = p.to_integer()
         assert polyq._good_prime(ic)[0] == 101
-        assert nonnegative_integer_roots(p) == [1, 1 + P]
+        assert g_positive_integer_roots(p) == (1, 1 + P)
         ff = factor(p)
         assert [(f.poly, f.multiplicity, f.certified) for f in ff.factors] \
             == [(X - RatPoly([1 + P]), 1, True), (X - ONE, 1, True)]
 
 
 class TestFactor:
+    def test_quadratics_at_a_large_good_prime(self):
+        # the discriminant of g is divisible by every odd prime below
+        # 1000, so its least good prime is 1009; a search over all monic
+        # quadratics mod 1009 took seconds, and the split kernel takes
+        # milliseconds
+        P = math.prod(sieve_primes(1000)[1:])
+        q = X * X + RatPoly([1006, 1008])
+        g = q * q.shift_arg(-P)
+        assert polyq._good_prime(g.to_integer()[0])[0] == 1009
+        t0 = time.monotonic()
+        ff = factor(g)
+        assert time.monotonic() - t0 < 1.0
+        assert ff.is_certified
+        assert {(f.poly, f.multiplicity) for f in ff.factors} == \
+            {(q, 1), (q.shift_arg(-P), 1)}
+
     def test_quadratic_split(self):
         ff = factor(RatPoly([6, 0, -5, 0, 1]))
         assert ff.is_certified
