@@ -19,16 +19,6 @@ def deg(c: list[int]) -> int:
     return len(c) - 1
 
 
-def add(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return trim(out)
-
-
 def sub(a: list[int], b: list[int], p: int) -> list[int]:
     n = max(len(a), len(b))
     out = [0] * n
@@ -87,22 +77,6 @@ def gcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
         a, b = b, rem(a, b, p)
     return monic(a, p)
-
-
-def xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """(g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = divmod_(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
-        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
-    if not r0:
-        return [], s0, t0
-    inv = pow(r0[-1], -1, p)
-    return scale(r0, inv, p), scale(s0, inv, p), scale(t0, inv, p)
 
 
 def pow_mod(base: list[int], e: int, modpoly: list[int], p: int) -> list[int]:

@@ -25,7 +25,12 @@ from .hyperseq import (
 )
 from .membership import MembershipConfig, decide
 from .numtheory import INFINITY
-from .padic import hensel_lift, roots_mod_p, zero_run_length
+from .padic import (
+    DEFAULT_DIGIT_CAP,
+    hensel_lift,
+    roots_mod_p,
+    zero_run_length,
+)
 from .polyq import parse_poly, parse_rational
 from .quadratic import (
     class_c_check,
@@ -288,6 +293,8 @@ def _cmd_equidist(args) -> int:
 
 
 def _cmd_padic(args) -> int:
+    if args.digits > DEFAULT_DIGIT_CAP:
+        raise _UsageError(f"--digits must be <= {DEFAULT_DIGIT_CAP}")
     poly = parse_poly(args.poly)
     lines = []
     roots = roots_mod_p(poly, args.p)

@@ -17,7 +17,8 @@ deterministic kernel _fp.split (no residue scan, no search over
 quadratics): integer roots are its roots mod p lifted by Newton's
 iteration and tested exactly, and monic quadratic factors are its
 irreducible quadratic factors and pairs of its roots mod p, lifted by
-Hensel's lemma and tested by exact division.  No integer is factored.
+the same Newton's iteration run in (Z/p^k)[t]/(u) and tested by exact
+division.  No integer is factored.
 Residual factors of degree >= 3 are returned opaque and flagged not
 certified irreducible; degree <= 2 factors are always certified (a
 monic integer quadratic with no integer root is irreducible).  A
@@ -463,28 +464,21 @@ def factor(p: RatPoly) -> FactoredPoly:
         raise ValueError("cannot factor the zero polynomial")
     unit = p.leading
     work = p.monic()
-    counts: dict[RatPoly, int] = {}
-    flags: dict[RatPoly, bool] = {}
 
     # powers of x first, so every later constant term is nonzero
     nz = 0
     while nz <= work.degree and work.coeffs[nz] == 0:
         nz += 1
-    if nz:
-        counts[X] = nz
-        flags[X] = True
-        work = RatPoly(work.coeffs[nz:])
+    factors = [PolyFactor(X, nz)] if nz else []
+    work = RatPoly(work.coeffs[nz:])
 
-    for part, mult in _yun(work):
-        for q, certified in _factor_squarefree(part):
-            counts[q] = counts.get(q, 0) + mult
-            flags[q] = flags.get(q, True) and certified
-
-    ordered = tuple(
-        PolyFactor(q, counts[q], flags[q])
-        for q in sorted(counts, key=_canonical_key)
-    )
-    result = FactoredPoly(unit, ordered)
+    # Yun's parts are square-free and pairwise coprime, so no irreducible
+    # factor turns up twice
+    factors += (PolyFactor(q, mult, certified)
+                for part, mult in _yun(work)
+                for q, certified in _factor_squarefree(part))
+    result = FactoredPoly(unit, tuple(
+        sorted(factors, key=lambda f: _canonical_key(f.poly))))
     if result.expand() != p:  # self-check on every call; degrees are small
         raise AssertionError("factor() failed to reconstruct its input")
     return result
@@ -628,10 +622,11 @@ def _factor_monic_int(H: list[int], out: list[tuple[list[int], bool]]) -> None:
     so a quadratic is irreducible.  From degree 4 on, the candidates for
     its quadratic factors are the irreducible quadratic factors mod p
     and the products of pairs of the remaining roots mod p, since any
-    quadratic factor of H reduces to one of them; each is lifted to
-    enough p-adic precision to pin integer coefficients and divides out
-    when exact division confirms it.  A residual factor of degree >= 3
-    is appended whole, not certified.
+    quadratic factor of H reduces to one of them; each candidate u is
+    lifted by Newton's iteration in (Z/p^k)[t]/(u) to enough p-adic
+    precision to pin integer coefficients and divides out when exact
+    division confirms it.  A residual factor of degree >= 3 is appended
+    whole, not certified.
     """
     p, Hp = _good_prime(H)
     roots = _fp.roots(Hp, p)
@@ -647,7 +642,7 @@ def _factor_monic_int(H: list[int], out: list[tuple[list[int], bool]]) -> None:
         for cand in candidates:
             if len(H) <= 4:
                 break
-            q = _lift_and_test(H, cand, p, bound)
+            q = _lift_quadratic(H, cand, p, bound)
             if q is not None:
                 out.append((q, True))
                 H = _int_divmod(H, q)[0]
@@ -661,62 +656,57 @@ def _quadratic_coeff_bound(H: list[int]) -> int:
     return max(2 * R, R * R)
 
 
-def _lift_and_test(H: list[int], u: list[int], p: int, bound: int) -> Optional[list[int]]:
-    """Hensel-lift the candidate quadratic u (mod p) against H and test
-    exact integer division.  Returns the integer quadratic or None."""
-    v, r = _fp.divmod_(_fp.from_int_coeffs(H, p), u, p)
-    if r:
-        return None
-    g, s, t = _fp.xgcd(u, v, p)
-    if _fp.deg(g) != 0:
-        return None  # not coprime mod p; cannot lift this pair cleanly
-    # s*u + t*v = 1 (mod p)
-    pk = p
-    target = 2 * bound + 1
-    U = [c % p for c in u]
-    V = [c % p for c in v]
-    while pk < target:
-        newmod = pk * p
-        # defect E = (H - U*V) / pk (mod p); H = U*V (mod pk), so the
-        # product is only needed mod pk*p
-        prod = _fp.mul(U, V, newmod)
-        E = [0] * max(len(H), len(prod))
-        for i, c in enumerate(H):
-            E[i] = c
-        for i, c in enumerate(prod):
-            E[i] -= c
-        E = [(c // pk) % p for c in E]
-        while E and E[-1] == 0:
-            E.pop()
-        # correction: du = (t*E mod u); dv = s*E + (t*E div u)*v  (all mod p)
-        tE = _fp.mul(t, E, p)
-        qq, du = _fp.divmod_(tE, u, p)
-        dv = _fp.add(_fp.mul(s, E, p), _fp.mul(qq, v, p), p)
-        U = _add_shifted(U, du, pk, newmod)
-        V = _add_shifted(V, dv, pk, newmod)
-        pk = newmod
-    # symmetric representatives
-    cand = [c if c <= pk // 2 else c - pk for c in U]
-    if len(cand) != 3 or cand[2] != 1:
-        return None
-    if max(abs(c) for c in cand) > bound:
-        return None
-    _, rem = _int_divmod(H, cand)
-    if rem:
-        return None
-    return cand
+def _lift_quadratic(H: list[int], u: list[int], p: int,
+                    bound: int) -> Optional[list[int]]:
+    """The monic integer quadratic factor of H that reduces to the monic
+    quadratic u mod p, or None.
 
+    Newton's iteration, as for integer roots, run in the ring
+    (Z/p^k)[t]/(u), whose elements a0 + a1*t are pairs.  When u divides
+    H mod p, the class of t is a root of H mod p.  The ring mod p is
+    F_{p^2} when u is irreducible and F_p x F_p when u = (x - a)(x - b)
+    with a != b; H is square-free mod p, so H'(t) is a unit in both, and
+    Newton's iteration lifts t to the root α of H with α ≡ t, dividing
+    by way of the conjugate: 1/β = β̄/N(β).  The p-adic factor over u is
+    x^2 - Tr(α)·x + N(α).  Lifted until p^k > 2·bound, its symmetric
+    representative is the only candidate, and exact division tests it.
+    """
+    u0, u1 = u[0], u[1]
 
-def _add_shifted(base: list[int], delta: list[int], pk: int, newmod: int) -> list[int]:
-    out = list(base)
-    for i, d in enumerate(delta):
-        if i < len(out):
-            out[i] = (out[i] + pk * d) % newmod
-        else:
-            out.append((pk * d) % newmod)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    def mul(a, b, m):
+        t = a[1] * b[1]
+        return ((a[0] * b[0] - t * u0) % m,
+                (a[0] * b[1] + a[1] * b[0] - t * u1) % m)
+
+    def norm(a, m):
+        return (a[0] * a[0] - a[0] * a[1] * u1 + a[1] * a[1] * u0) % m
+
+    def at(c, a, m):
+        acc = (0, 0)
+        for x in reversed(c):
+            s0, s1 = mul(acc, a, m)
+            acc = ((s0 + x) % m, s1)
+        return acc
+
+    if at(H, (0, 1), p) != (0, 0):
+        return None
+    k, pk = 1, p
+    while pk <= 2 * bound:
+        k, pk = k + 1, pk * p
+    dH = [i * c for i, c in enumerate(H)][1:]
+    a, prec = (0, 1), 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        m = p**prec
+        b0, b1 = at(dH, a, m)
+        inv = pow(norm((b0, b1), m), -1, m)
+        e0, e1 = mul(at(H, a, m), (b0 - b1 * u1, -b1), m)  # H·conj(H')
+        a = ((a[0] - e0 * inv) % m, (a[1] - e1 * inv) % m)
+    q = [c if c <= pk // 2 else c - pk
+         for c in (norm(a, pk), (a[1] * u1 - 2 * a[0]) % pk)] + [1]
+    if max(abs(c) for c in q) > bound or _int_divmod(H, q)[1]:
+        return None
+    return q
 
 
 # -- derived queries ----------------------------------------------------

@@ -17,7 +17,7 @@ from hyperval.cli import main
 from hyperval.errors import PolyParseError
 from hyperval.hyperseq import make_sequence, term
 from hyperval.numtheory import sieve_primes
-from hyperval.padic import hensel_lift, zero_run_length
+from hyperval.padic import DEFAULT_DIGIT_CAP, hensel_lift, zero_run_length
 from hyperval.polyq import (
     ECHO_CAP,
     MAX_EXPONENT,
@@ -437,6 +437,20 @@ class TestPadic:
         code, out, _ = run("padic", "--poly", "(x+1)^2", "--p", "5",
                            "--digits", "0")
         assert (code, out) == (0, "root 4: multiple root mod 5, not lifted\n")
+
+    def test_digits_above_the_cap_are_a_usage_error(self, monkeypatch):
+        code, out, _ = run("padic", "--poly", "x-1", "--p", "7",
+                           "--digits", str(DEFAULT_DIGIT_CAP))
+        assert code == 0
+        assert out.endswith(" 0" * (DEFAULT_DIGIT_CAP - 1) + "\n")
+        # refused before any root is lifted: hensel_lift takes its digits
+        # off one divmod at a time, so 80,000 digits take seconds
+        monkeypatch.setattr(hyperval.cli, "hensel_lift", None)
+        code, out, err = run("padic", "--poly", "x^2-2", "--p", "7",
+                             "--digits", str(DEFAULT_DIGIT_CAP + 1))
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: --digits must be <= "
+                       f"{DEFAULT_DIGIT_CAP}\n")
 
     def test_zero_run(self):
         code, out, _ = run("padic", "--poly", "x^2-2", "--p", "7",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -6,9 +7,9 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from hyperval import polyq
+from hyperval import _fp, polyq
 from hyperval.errors import InvalidF
 from hyperval.hyperseq import make_sequence
 from hyperval.numtheory import factorize, sieve_primes
@@ -340,6 +341,136 @@ class TestFactor:
         ff = factor(p)
         assert ff.is_certified
         assert ff.expand() == p
+
+
+# -- two-factor Hensel lifting with Bézout cofactors (Zassenhaus), the
+# quadratic lift that Newton's iteration in (Z/p^k)[t]/(u) replaced --
+
+
+def _oracle_add(a, b, p):
+    out = [0] * max(len(a), len(b))
+    for i, v in enumerate(a):
+        out[i] = v
+    for i, v in enumerate(b):
+        out[i] = (out[i] + v) % p
+    return _fp.trim(out)
+
+
+def _oracle_xgcd(a, b, p):
+    """(g, s, t) with s*a + t*b = g, g monic."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _fp.divmod_(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _fp.sub(s0, _fp.mul(q, s1, p), p)
+        t0, t1 = t1, _fp.sub(t0, _fp.mul(q, t1, p), p)
+    if not r0:
+        return [], s0, t0
+    inv = pow(r0[-1], -1, p)
+    return _fp.scale(r0, inv, p), _fp.scale(s0, inv, p), \
+        _fp.scale(t0, inv, p)
+
+
+def _oracle_add_shifted(base, delta, pk, newmod):
+    out = list(base)
+    for i, d in enumerate(delta):
+        if i < len(out):
+            out[i] = (out[i] + pk * d) % newmod
+        else:
+            out.append((pk * d) % newmod)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def oracle_hensel_quadratic(H, u, p, bound):
+    """Hensel-lift the candidate quadratic u (mod p) against H and test
+    exact integer division.  Returns the integer quadratic or None."""
+    v, r = _fp.divmod_(_fp.from_int_coeffs(H, p), u, p)
+    if r:
+        return None
+    g, s, t = _oracle_xgcd(u, v, p)
+    if _fp.deg(g) != 0:
+        return None  # not coprime mod p; cannot lift this pair cleanly
+    # s*u + t*v = 1 (mod p)
+    pk = p
+    target = 2 * bound + 1
+    U = [c % p for c in u]
+    V = [c % p for c in v]
+    while pk < target:
+        newmod = pk * p
+        # defect E = (H - U*V) / pk (mod p); H = U*V (mod pk), so the
+        # product is only needed mod pk*p
+        prod = _fp.mul(U, V, newmod)
+        E = [0] * max(len(H), len(prod))
+        for i, c in enumerate(H):
+            E[i] = c
+        for i, c in enumerate(prod):
+            E[i] -= c
+        E = [(c // pk) % p for c in E]
+        while E and E[-1] == 0:
+            E.pop()
+        # correction: du = (t*E mod u); dv = s*E + (t*E div u)*v (mod p)
+        tE = _fp.mul(t, E, p)
+        qq, du = _fp.divmod_(tE, u, p)
+        dv = _oracle_add(_fp.mul(s, E, p), _fp.mul(qq, v, p), p)
+        U = _oracle_add_shifted(U, du, pk, newmod)
+        V = _oracle_add_shifted(V, dv, pk, newmod)
+        pk = newmod
+    # symmetric representatives
+    cand = [c if c <= pk // 2 else c - pk for c in U]
+    if len(cand) != 3 or cand[2] != 1:
+        return None
+    if max(abs(c) for c in cand) > bound:
+        return None
+    if polyq._int_divmod(H, cand)[1]:
+        return None
+    return cand
+
+
+@st.composite
+def square_free_products(draw):
+    """The integer coefficients of a monic square-free product of 2-4
+    linear and quadratic factors, at least one of them quadratic."""
+    factors = [[draw(st.integers(-10 ** 6, 10 ** 6)),
+                draw(st.integers(-30, 30)), 1]]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            factors.append([draw(st.integers(-40, 40)), 1])
+        else:
+            factors.append([draw(st.integers(-10 ** 6, 10 ** 6)),
+                            draw(st.integers(-30, 30)), 1])
+    p = RatPoly([1])
+    for f in factors:
+        p = p * RatPoly(f)
+    assume(poly_gcd(p, p.derivative()).degree == 0)
+    return [int(c) for c in p.coeffs]
+
+
+class TestQuadraticLiftDifferential:
+    def test_matches_the_hensel_oracle_on_every_candidate(self):
+        seen = set()
+
+        @given(square_free_products())
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        def check(H):
+            p, Hp = polyq._good_prime(H)
+            roots = _fp.roots(Hp, p)
+            candidates = _fp.split(Hp, 2, p) + [
+                _fp.mul([-a % p, 1], [-b % p, 1], p)
+                for a, b in itertools.combinations(roots, 2)]
+            bound = polyq._quadratic_coeff_bound(H)
+            seen.add(p)
+            for u in candidates:
+                got = polyq._lift_quadratic(H, u, p, bound)
+                assert got == oracle_hensel_quadratic(H, u, p, bound), u
+                if got is not None:
+                    seen.add("split" if _fp.roots(u, p) else "irreducible")
+
+        check()
+        assert {3, 5, "split", "irreducible"} <= seen, seen
 
 
 class TestDiscriminant:
