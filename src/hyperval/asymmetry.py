@@ -19,9 +19,15 @@ from itertools import islice, repeat
 from operator import mul, sub, truediv
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import NotHenselPrime, UnsupportedInput
+from .errors import BadPrime, NotHenselPrime, UnsupportedInput
 from .hyperseq import HypergeomSeq, usable_prime, valuation_profile
-from .numtheory import INFINITY, Rational, iter_primes, require_prime
+from .numtheory import (
+    INFINITY,
+    PROVED_PRIME_LIMIT,
+    Rational,
+    iter_primes,
+    require_prime,
+)
 
 
 def root_counts(seq: HypergeomSeq, p: int) -> tuple[int, int]:
@@ -129,11 +135,14 @@ def make_certificate(seq: HypergeomSeq, p: int,
                      coprime_with: Sequence[Rational] = ()) -> AsymmetryCertificate:
     """Build the certificate at a specific prime, or fail loudly.
 
-    Raises BadPrime if p is not prime, NotHenselPrime if the prime
-    cannot be trusted, ValueError if the root counts are equal or the
-    prime divides u₀ (or one of the extra rationals to stay coprime with).
+    Raises BadPrime if p is not a prime below 2^64 (where is_prime is a
+    proof), NotHenselPrime if the prime cannot be trusted, ValueError if
+    the root counts are equal or the prime divides u₀ (or one of the
+    extra rationals to stay coprime with).
     """
     require_prime(p)
+    if p >= PROVED_PRIME_LIMIT:
+        raise BadPrime("certificates need a proved prime, below 2^64")
     reason = _exclusion(seq, p, coprime_with)
     if reason is not None:
         raise ValueError(reason)

@@ -306,7 +306,7 @@ def _cmd_padic(args) -> int:
         except NotSimpleRoot:
             lines.append(f"root {r}: multiple root mod {args.p}, not lifted")
             continue
-        digits = " ".join(str(lifted.digit(i)) for i in range(args.digits))
+        digits = " ".join(map(str, lifted.digits))
         lines.append(f"root {r}: digits (least significant first) {digits}")
         if args.zero_run is not None:
             run = zero_run_length(lifted, args.zero_run)

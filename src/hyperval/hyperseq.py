@@ -8,6 +8,9 @@ positive integer roots (or u₀ = 0) is allowed but flagged, since the
 sequence is then eventually zero.  The two factor tables are kept, and
 validation, the root-count plan, regularization, the digit identity and
 the class C and D checks all read them; none of them factors again.
+The root-count plan keeps each irreducible factor as its primitive
+integer form, which the p-adic layer (padic, above this module; nothing
+here imports it) reduces and lifts directly.
 
 Every walk along the sequence steps with one integer form, step_polys:
 uₘ = uₘ₋₁·A(m)/B(m).  TermCursor streams the exact values.  The p-adic
@@ -40,13 +43,11 @@ from .numtheory import (
     reduced_fraction,
     require_prime,
 )
-from .padic import reduce_mod_p
 from .polyq import (
     ONE,
     FactoredPoly,
     RatPoly,
     RationalFunction,
-    discriminant_quadratic,
     factor,
     int_discriminant,
     int_eval,
@@ -75,7 +76,7 @@ class HypergeomSeq:
     tables f_factors = factor(f) and g_factors = factor(g)."""
 
     __slots__ = ("f", "g", "u0", "flags", "f_factors", "g_factors",
-                 "_int_forms", "_root_plan")
+                 "_int_forms", "_root_plan", "_square_classes")
 
     def __init__(self, f: RatPoly, g: RatPoly, u0: Fraction,
                  flags: ValidationFlags, f_factors: FactoredPoly,
@@ -88,6 +89,7 @@ class HypergeomSeq:
         self.g_factors = g_factors
         self._int_forms: Optional[tuple[list[int], int, list[int], int]] = None
         self._root_plan: Optional[RootPlan] = None
+        self._square_classes = None  # kept by quadratic._square_classes
 
     @property
     def max_degree(self) -> int:
@@ -172,9 +174,10 @@ class RootPlan:
 
     gate: usable_prime(seq, p) holds exactly when p does not divide it.
     f_parts, g_parts: the irreducible factors of f and g from the
-    sequence's factor tables, as (monic part, multiplicity e, D), where
-    D is an integer in the square class of a quadratic part's
-    discriminant and None for any other degree.
+    sequence's factor tables, as (c, e, D): c the primitive integer form
+    of the factor (a coefficient tuple, constant term first), e its
+    multiplicity, and D = c₁² − 4c₀c₂ for a quadratic, None for any
+    other degree.
     """
 
     gate: int
@@ -188,19 +191,20 @@ class RootPlan:
 
 
 def _roots_of_parts(parts: tuple, p: int) -> int:
-    # past the gate the monic radical of f·g is square-free mod p, so the
-    # parts stay square-free and pairwise coprime mod p: each root of a
-    # part is a root of multiplicity exactly e, and a part has
-    # deg gcd(part, x^p − x) roots, by one x^p pass.  A quadratic part's
-    # discriminant is a p-unit, and it has 1 + (D/p) roots at odd p.
+    # past the gate the radical of f·g is square-free mod p and p keeps
+    # each part's degree, so the parts stay square-free and pairwise
+    # coprime mod p: each root of a part is a root of multiplicity
+    # exactly e, and a part has deg gcd(part, x^p − x) roots, by one x^p
+    # pass.  A quadratic part's D is a p-unit, and it has 1 + (D/p)
+    # roots at odd p.
     total = 0
-    for part, e, disc in parts:
-        if part.degree == 1:
+    for c, e, disc in parts:
+        if len(c) == 2:
             total += e
         elif disc is not None and p != 2:
             total += e * (1 + euler_criterion(disc, p))
         else:
-            h = reduce_mod_p(part, p)
+            h = _fp.from_int_coeffs(c, p)
             total += e * _fp.deg(_fp.frobenius_gcd(h, p, p))
     return total
 
@@ -216,8 +220,8 @@ def _root_plan(seq: HypergeomSeq) -> RootPlan:
     f, g = seq.f, seq.g
     f_parts, g_parts = _plan_parts(seq.f_factors), _plan_parts(seq.g_factors)
     den = math.lcm(*(c.denominator for c in f.coeffs + g.coeffs))
-    rad = math.prod((part for part, _, _ in f_parts + g_parts), start=ONE)
-    R, _ = rad.to_integer()
+    factors = seq.f_factors.factors + seq.g_factors.factors
+    R, _ = math.prod((pf.poly for pf in factors), start=ONE).to_integer()
     disc = int_discriminant(R) if len(R) > 2 else 1
     gate = abs(den * f.leading.numerator * g.leading.numerator * disc)
     return RootPlan(gate, f_parts, g_parts)
@@ -226,11 +230,9 @@ def _root_plan(seq: HypergeomSeq) -> RootPlan:
 def _plan_parts(table: FactoredPoly) -> tuple:
     parts = []
     for pf in table.factors:
-        disc = None
-        if pf.poly.degree == 2:
-            d = discriminant_quadratic(pf.poly)
-            disc = d.numerator * d.denominator
-        parts.append((pf.poly, pf.multiplicity, disc))
+        c = tuple(pf.poly.to_integer()[0])  # primitive: the factor is monic
+        disc = c[1] ** 2 - 4 * c[0] * c[2] if len(c) == 3 else None
+        parts.append((c, pf.multiplicity, disc))
     return tuple(parts)
 
 

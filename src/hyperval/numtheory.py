@@ -1,13 +1,18 @@
 """Integer and rational primitives.
 
 Primality testing, Legendre symbols, modular square roots, square-free
-parts, p-adic valuations, Weil heights of rationals, and prime lists in
-arithmetic progressions.  require_prime is the one check that a
-caller's p is prime; the mod-p kernels below it (euler_criterion,
-tonelli_shanks) trust their p.  Everything here is exact: rationals are
+parts, p-adic valuations, Weil heights of rationals, and the primes:
+one list (sieve_primes) and one lazy segmented walk (iter_primes), the
+source of every prime range in the library.  The walk sieves at most
+2^20 numbers at once and refuses, with UnsupportedInput, a segment
+whose base primes would pass 2^22, so it never allocates a sieve it
+cannot hold.  require_prime is the one check that a caller's p is
+prime; the mod-p kernels below it (euler_criterion, tonelli_shanks)
+trust their p.  is_prime is a proof below PROVED_PRIME_LIMIT = 2^64 and
+probabilistic above it.  Everything here is exact: rationals are
 ``fractions.Fraction`` (already reduced, positive denominator), and the
-p-adic valuation of zero is the distinct value :data:`INFINITY` rather
-than a sentinel integer.
+p-adic valuation of zero is :data:`INFINITY` (``math.inf``), never a
+sentinel integer.
 
 All functions are pure and safe to call concurrently.
 """
@@ -16,10 +21,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterator, Union
 
-from .errors import BadPrime, NonResidue
+from .errors import BadPrime, NonResidue, UnsupportedInput
 
 Rational = Fraction
 
@@ -28,52 +33,11 @@ Rational = Fraction
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _RANDOM_ROUNDS = 64  # error probability below 4**-64 = 2**-128
+PROVED_PRIME_LIMIT = 1 << 64  # is_prime is a proof below this, not above
 
+INFINITY = math.inf  # the valuation of zero
 
-class _Infinity:
-    """The valuation of zero.  Compares above every finite number and is
-    absorbing under addition and negation-free arithmetic."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("hyperval-padic-infinity")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __abs__(self):
-        return self
-
-
-INFINITY = _Infinity()
-
-Valuation = Union[int, _Infinity]
+Valuation = Union[int, float]  # an int, or INFINITY
 
 
 def is_prime(n: int) -> bool:
@@ -100,7 +64,7 @@ def is_prime(n: int) -> bool:
                 return False
         return True
 
-    if n < 1 << 64:
+    if n < PROVED_PRIME_LIMIT:
         return not any(witness(a) for a in _MR_BASES)
     # Above 64 bits: deterministic sequence of bases derived from n so the
     # answer is reproducible run to run.
@@ -318,6 +282,10 @@ def weil_height_exact(r: Rational | int) -> int:
     return max(abs(r.numerator), r.denominator)
 
 
+_SEGMENT = 1 << 20  # the longest segment iter_primes sieves at once
+_MAX_BASE_PRIME = 1 << 22  # iter_primes serves primes below 2^44
+
+
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, by Eratosthenes."""
     if limit < 2:
@@ -332,22 +300,26 @@ def sieve_primes(limit: int) -> list[int]:
 
 def iter_primes(lo: int, hi: int) -> Iterator[int]:
     """The primes in [lo, hi], ascending, sieved lazily in segments that
-    double in length: a caller that stops at p has sieved up to about 2p,
-    not up to hi."""
-    lo = max(lo, 2)
+    double in length up to _SEGMENT: a caller that stops at p has sieved
+    up to about 2p, not up to hi.
+
+    UnsupportedInput once a segment would need base primes past
+    _MAX_BASE_PRIME (primes past 2^44), raised when the walk gets there.
+    """
+    return chain.from_iterable(_prime_segments(max(lo, 2), hi))
+
+
+def _prime_segments(lo: int, hi: int) -> Iterator[Iterator[int]]:
     while lo <= hi:
-        end = min(hi + 1, max(2 * lo, lo + 64))  # this segment is [lo, end)
+        end = min(hi + 1, max(2 * lo, lo + 64), lo + _SEGMENT)  # [lo, end)
+        root = math.isqrt(end - 1)
+        if root > _MAX_BASE_PRIME:
+            raise UnsupportedInput(
+                "the prime walk stops below 2^44: this segment needs base "
+                f"primes above {_MAX_BASE_PRIME}")
         flags = bytearray([1]) * (end - lo)
-        for q in sieve_primes(math.isqrt(end - 1)):
+        for q in sieve_primes(root):
             start = max(q * q, -(-lo // q) * q) - lo
             flags[start::q] = bytes(len(range(start, end - lo, q)))
-        yield from compress(range(lo, end), flags)
+        yield compress(range(lo, end), flags)
         lo = end
-
-
-def primes_in_progression(a: int, q: int, limit: int) -> list[int]:
-    """Primes p <= limit with p = a (mod q)."""
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    a %= q
-    return [p for p in sieve_primes(limit) if p % q == a]

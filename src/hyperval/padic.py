@@ -1,12 +1,15 @@
-"""Polynomials over prime fields and p-adic root machinery.
+"""p-adic roots, one layer above the sequence model (hyperseq).
 
 Covers reduction of rational polynomials mod p, root counting in the
 p-element field via gcd with x^p - x, the roots themselves from the
 split kernel _fp.split, detection of primes where every root lifts
-uniquely, Newton/Hensel lifting to prime-power precision, and
-digit-level diagnostics of lifted roots (zero runs and the valuation
-identity at n = p^s that ties digit runs to ν_p(u_n), over the roots
-of the irreducible factors in the sequence's RootPlan).
+uniquely, Newton lifting to prime-power precision, and digit-level
+diagnostics of lifted roots: zero runs, and the valuation identity at
+n = p^s that ties digit runs to ν_p(u_n).  A PadicRoot is its value mod
+p^k; its digits are one base-p expansion of that value, made on demand.
+The identity takes the integer parts of the sequence's RootPlan, past
+whose gate p is prime and every root simple, so it finds their roots
+with _fp.roots and lifts them by _newton_root, checking nothing again.
 Public functions check that p is prime; the kernels on reduced lists
 (reduce_mod_p, frobenius_root_count, is_squarefree_mod_p) trust it.
 """
@@ -14,7 +17,6 @@ Public functions check that p is prime; the kernels on reduced lists
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from . import _fp
 from .errors import (
@@ -23,11 +25,9 @@ from .errors import (
     NotSimpleRoot,
     PrecisionExhausted,
 )
-from .numtheory import fraction_valuation, mod_rep, require_prime
-from .polyq import X, RatPoly
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .hyperseq import HypergeomSeq
+from .hyperseq import HypergeomSeq, term_valuation, usable_prime
+from .numtheory import fraction_valuation, int_valuation, mod_rep, require_prime
+from .polyq import RatPoly
 
 DEFAULT_DIGIT_CAP = 2**14
 
@@ -108,7 +108,8 @@ def is_squarefree_mod_p(h: list[int], p: int) -> bool:
 
 @dataclass(frozen=True)
 class PadicRoot:
-    """A root of a polynomial to precision k: value in [0, p^k).
+    """A root of the integer polynomial poly (coefficients, constant term
+    first) to precision k: value in [0, p^k).
 
     Immutable; ``lift_to`` continues Newton's iteration from this value
     and precision and returns a new root.
@@ -117,37 +118,36 @@ class PadicRoot:
     p: int
     precision: int
     value: int
-    digits: tuple[int, ...]
-    _source: RatPoly = field(repr=False, compare=False)
+    poly: tuple[int, ...] = field(repr=False, compare=False)
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        """The precision base-p digits of value, least significant first,
+        from one expansion of the value."""
+        v, digits = self.value, []
+        for _ in range(self.precision):
+            v, d = divmod(v, self.p)
+            digits.append(d)
+        return tuple(digits)
 
     def digit(self, j: int) -> int:
+        if j < 0:
+            raise ValueError("digit index must be nonnegative")
         if j >= self.precision:
             raise PrecisionExhausted(
                 f"digit {j} beyond precision {self.precision}"
             )
-        return self.digits[j]
+        return self.value // self.p**j % self.p
 
     def truncate(self, k: int) -> "PadicRoot":
         if k > self.precision:
             raise PrecisionExhausted(f"cannot truncate {self.precision} to {k}")
-        return PadicRoot(self.p, k, self.value % self.p**k,
-                         self.digits[:k], self._source)
+        return PadicRoot(self.p, k, self.value % self.p**k, self.poly)
 
     def lift_to(self, k: int) -> "PadicRoot":
         if k <= self.precision:
             return self.truncate(k)
-        F, _ = self._source.to_integer()
-        return _newton_root(self._source, F, self.p, self.value,
-                            self.precision, k, self.digits)
-
-
-def _to_pintegral_int_poly(f: RatPoly, p: int) -> list[int]:
-    # clear denominators by the p-free part of their lcm; valuations at p
-    # of values are unchanged and the poly becomes integer
-    ic, L = f.to_integer()
-    if L % p == 0:
-        raise BadPrime(f"coefficient denominator divisible by {p}")
-    return ic
+        return _newton_root(self.poly, self.p, self.value, self.precision, k)
 
 
 def hensel_lift(f: RatPoly, p: int, r0: int, k: int) -> PadicRoot:
@@ -157,7 +157,10 @@ def hensel_lift(f: RatPoly, p: int, r0: int, k: int) -> PadicRoot:
     f(value) ≡ 0 (mod p^k) is asserted before returning.
     """
     require_prime(p)
-    F = _to_pintegral_int_poly(f, p)
+    ic, L = f.to_integer()  # clearing denominators keeps the roots
+    if L % p == 0:
+        raise BadPrime(f"coefficient denominator divisible by {p}")
+    F = tuple(ic)
     Fd = [i * c for i, c in enumerate(F)][1:]
     r0 %= p
     if _fp.eval_at(F, r0, p) != 0:
@@ -168,27 +171,23 @@ def hensel_lift(f: RatPoly, p: int, r0: int, k: int) -> PadicRoot:
         )
     if k < 1:
         raise ValueError(f"precision must be >= 1, got {k}")
-    return _newton_root(f, F, p, r0, 1, k, ())
+    return _newton_root(F, p, r0, 1, k)
 
 
-def _newton_root(f: RatPoly, F: list[int], p: int, r: int, prec: int,
-                 k: int, digits: tuple[int, ...]) -> PadicRoot:
-    """Lift the simple root r of the integer form F of f from mod p^prec
-    to mod p^k (k ≥ prec) by _fp.lift_root; digits are r's first prec
-    digits.  p is prime and r simple, neither re-tested; f(value) ≡ 0
-    (mod p^k) is asserted before returning."""
+def _newton_root(F: tuple[int, ...], p: int, r: int, prec: int,
+                 k: int) -> PadicRoot:
+    """Lift the simple root r of the integer polynomial F from mod p^prec
+    to mod p^k (k ≥ prec) by _fp.lift_root.  p is prime and r simple,
+    neither re-tested; F(value) ≡ 0 (mod p^k) is asserted before
+    returning."""
     value = _fp.lift_root(F, r, p, prec, k)
     assert _fp.eval_at(F, value, p**k) == 0
-    new_digits = []
-    v = value // p**len(digits)
-    for _ in range(k - len(digits)):
-        v, d = divmod(v, p)
-        new_digits.append(d)
-    return PadicRoot(p, k, value, digits + tuple(new_digits), f)
+    return PadicRoot(p, k, value, F)
 
 
 def zero_run_length(root: PadicRoot, s: int) -> int:
-    """Length of the zero-digit run starting at digit index s.
+    """Length of the zero-digit run starting at digit index s: ν_p of
+    value // p^s once that quotient is nonzero.
 
     Lifts more digits on demand (doubling) so the run provably ends
     within the reported length; PrecisionExhausted once DEFAULT_DIGIT_CAP
@@ -196,22 +195,17 @@ def zero_run_length(root: PadicRoot, s: int) -> int:
     """
     if s < 0:
         raise ValueError("digit index must be nonnegative")
-    run = 0
-    j = s
     while True:
-        if j >= root.precision:
-            if root.precision >= DEFAULT_DIGIT_CAP:
-                raise PrecisionExhausted(
-                    f"zero run at index {s} still open at the "
-                    f"{DEFAULT_DIGIT_CAP}-digit lifting cap"
-                )
-            root = root.lift_to(min(max(2 * root.precision, j + 1),
-                                    DEFAULT_DIGIT_CAP))
-            continue
-        if root.digits[j] != 0:
-            return run
-        run += 1
-        j += 1
+        rest = root.value // root.p**s
+        if rest:
+            return int_valuation(rest, root.p)
+        if root.precision >= DEFAULT_DIGIT_CAP:
+            raise PrecisionExhausted(
+                f"zero run at index {s} still open at the "
+                f"{DEFAULT_DIGIT_CAP}-digit lifting cap"
+            )
+        root = root.lift_to(min(max(2 * root.precision, s + 1),
+                                DEFAULT_DIGIT_CAP))
 
 
 # -- the valuation identity at n = p^s ---------------------------------
@@ -231,7 +225,7 @@ def _c_count(root: PadicRoot, s: int) -> int:
     return 1 + zero_run_length(root, s + 1) if root.digit(s) == 1 else 0
 
 
-def valuation_at_prime_power(seq: "HypergeomSeq", p: int,
+def valuation_at_prime_power(seq: HypergeomSeq, p: int,
                              s: int) -> tuple[int, int]:
     """ν_p(u_{p^s}) computed two independent ways: (direct, digit formula).
 
@@ -246,14 +240,13 @@ def valuation_at_prime_power(seq: "HypergeomSeq", p: int,
     cancel, u₀ a p-adic unit, and u_{p^s} ≠ 0: no positive integer
     root of g at most p^s.
 
-    The counts and the roots come from the irreducible factors in the
+    The counts and the roots come from the integer parts of the
     sequence's RootPlan.  Past its gate the parts are square-free and
     pairwise coprime mod p, so each root of a part of multiplicity e is
-    simple and counts e times; the factor x is skipped, since the exact
-    root 0 adds no digits: its truncations are 0.
+    simple and counts e times, and it is lifted directly; the factor x
+    is skipped, since the exact root 0 adds no digits: its truncations
+    are 0.
     """
-    from .hyperseq import term_valuation, usable_prime
-
     if s < 0:
         raise ValueError("s must be nonnegative")
     if not usable_prime(seq, p):
@@ -273,12 +266,12 @@ def valuation_at_prime_power(seq: "HypergeomSeq", p: int,
         raise ValueError("g has a positive integer root at most p^s, "
                          "so u_{p^s} = 0")
 
-    roots = []  # (signed weight, irreducible factor, root mod p)
+    roots = []  # (signed weight, integer part, root mod p)
     for parts, sign in ((plan.f_parts, -1), (plan.g_parts, +1)):
-        roots += [(sign * e, part, a) for part, e, _ in parts if part != X
-                  for a in roots_mod_p(part, p)]
+        roots += [(sign * e, c, a) for c, e, _ in parts if c != (0, 1)
+                  for a in _fp.roots(_fp.from_int_coeffs(c, p), p)]
     direct = term_valuation(seq, ps, p)
     start = max(2 * s, 4)
-    digit_side = sum(weight * _c_count(hensel_lift(part, p, a, start), s)
-                     for weight, part, a in roots)
+    digit_side = sum(weight * _c_count(_newton_root(c, p, a, 1, start), s)
+                     for weight, c, a in roots)
     return int(direct), digit_side

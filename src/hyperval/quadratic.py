@@ -6,16 +6,21 @@ This module profiles those discriminants, decides existence of
 "condition primes" (p with (Δ/p) = 1 for one chosen Δ and −1 for the
 rest) by GF(2) linear algebra over the character coordinates, searches
 for the smallest such prime directly, and samples rep(r ± s√Δ)/p over
-primes in progressions to measure equidistribution empirically.
+primes in progressions, drawn from iter_primes, to measure
+equidistribution empirically.  A sequence's Δ come from one
+factorization per distinct discriminant, kept on the sequence and
+shared by the profile and the class C and D checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice
-from typing import Iterator, Optional, Sequence, Union
+from operator import xor
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EmptySampleSet, UnsupportedFactorization
 from .hyperseq import HypergeomSeq
@@ -25,13 +30,12 @@ from .numtheory import (
     factorize,
     iter_primes,
     mod_rep,
-    primes_in_progression,
     require_prime,
     sqrt_mod,
     squarefree_part,
     tonelli_shanks,
 )
-from .polyq import FactoredPoly, discriminant_quadratic
+from .polyq import discriminant_quadratic
 
 
 @dataclass(frozen=True)
@@ -65,41 +69,53 @@ class DiscriminantProfile:
         return f"discriminants={{{discs}}} prime-support=[{support}]{note}"
 
 
-def _factor_tags(table: FactoredPoly) -> list[int]:
-    """One tag per irreducible factor in a sequence's factor table,
-    repeated by multiplicity.
+def _square_classes(seq: HypergeomSeq) -> tuple[
+        tuple[int, ...], tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """(sorted f tags, sorted g tags, {Δ: primes of Δ}), kept on seq.
 
-    A linear factor is tagged 1 and an irreducible quadratic with the
-    square-free part of its discriminant, which is never 1.  A factor of
-    degree above 2, or one the factorization cannot certify, raises.
+    A factor is tagged, once per multiplicity, 1 when linear and with
+    the square-free part Δ of its discriminant when quadratic (never 1);
+    Δ and its primes come from one factorization per distinct
+    discriminant.  A factor of degree above 2, or one the factorization
+    cannot certify, raises.
     """
-    tags: list[int] = []
-    for pf in table.factors:
-        if not pf.certified or pf.poly.degree > 2:
-            raise UnsupportedFactorization(
-                f"cannot certify the factor {pf.poly} "
-                "(degree above 2 or incomplete split)"
-            )
-        tag = 1
-        if pf.poly.degree == 2:
-            tag = squarefree_part(discriminant_quadratic(pf.poly))
-        tags.extend([tag] * pf.multiplicity)
-    return tags
+    if seq._square_classes is None:
+        # num·den of a discriminant -> (Δ, primes of Δ)
+        classes: dict[int, tuple[int, tuple[int, ...]]] = {}
+        sides = []
+        for table in (seq.f_factors, seq.g_factors):
+            tags: list[int] = []
+            for pf in table.factors:
+                if not pf.certified or pf.poly.degree > 2:
+                    raise UnsupportedFactorization(
+                        f"cannot certify the factor {pf.poly} "
+                        "(degree above 2 or incomplete split)"
+                    )
+                tag = 1
+                if pf.poly.degree == 2:
+                    d = discriminant_quadratic(pf.poly)
+                    n = d.numerator * d.denominator
+                    if n not in classes:
+                        odd = tuple(sorted(q for q, e in factorize(n).items()
+                                           if e % 2))
+                        classes[n] = ((-1 if n < 0 else 1) * math.prod(odd),
+                                      odd)
+                    tag = classes[n][0]
+                tags.extend([tag] * pf.multiplicity)
+            sides.append(tuple(sorted(tags)))
+        seq._square_classes = (*sides, dict(classes.values()))
+    return seq._square_classes
 
 
 def discriminant_profile(seq: HypergeomSeq) -> DiscriminantProfile:
     """Collect Δ = squarefree part of disc over irreducible quadratics."""
-    discs = {d for table in (seq.f_factors, seq.g_factors)
-             for d in _factor_tags(table) if d != 1}
-    support: set[int] = set()
-    for d in discs:
-        support.update(factorize(abs(d)) if abs(d) > 1 else ())
-    prime_support = tuple(sorted(support))
+    supports = _square_classes(seq)[2]
+    prime_support = tuple(sorted(set().union(*supports.values())))
     vectors = {
         d: tuple(1 if abs(d) % p == 0 else 0 for p in prime_support)
-        for d in discs
+        for d in supports
     }
-    return DiscriminantProfile(frozenset(discs), prime_support, vectors)
+    return DiscriminantProfile(frozenset(supports), prime_support, vectors)
 
 
 # -- condition primes ---------------------------------------------------
@@ -269,8 +285,14 @@ def _require_sampling_delta(delta: int) -> None:
         )
 
 
+def _progression(a: int, q: int, lo: int, hi: int) -> Iterator[int]:
+    """The primes p ≡ a (mod q) in [lo, hi], from iter_primes."""
+    a %= q
+    return (p for p in iter_primes(lo, hi) if p % q == a)
+
+
 def _collect_samples(
-    primes: Sequence[int], delta: int, r: Rational, s: Rational
+    primes: Iterable[int], delta: int, r: Rational, s: Rational
 ) -> tuple[list[tuple[int, int]], int]:
     """(rep, p) pairs for both signs over qualifying primes + skip count."""
     out: list[tuple[int, int]] = []
@@ -354,8 +376,8 @@ def equidistribution_sample(
         raise ValueError("bin_count must be >= 2")
     if q < 1:
         raise ValueError("q must be >= 1")
-    primes = primes_in_progression(a, q, p_limit)
-    samples, skipped = _collect_samples(primes, delta, r, s)
+    samples, skipped = _collect_samples(_progression(a, q, 2, p_limit),
+                                        delta, r, s)
     if not samples:
         raise EmptySampleSet(
             f"no primes <= {p_limit} with p = {a} (mod {q}) split delta = {delta}"
@@ -400,8 +422,7 @@ def window_count(
     if q < 1:
         raise ValueError("q must be >= 1")
     hi = int(N * (1 + window_delta))
-    primes = [p for p in primes_in_progression(a, q, hi - 1) if p >= N]
-    samples, _ = _collect_samples(primes, delta, r, s)
+    samples, _ = _collect_samples(_progression(a, q, N, hi - 1), delta, r, s)
     an, ad = al.numerator, al.denominator
     bn, bd = be.numerator, be.denominator
     hits = {p for rep, p in samples if an * p <= rep * ad and rep * bd < bn * p}
@@ -416,20 +437,20 @@ def class_c_check(seq: HypergeomSeq) -> bool:
 
     True iff some factor is an irreducible quadratic and the square-free
     discriminant parts number at most three — with exactly three only
-    when one is the square-free part of the product of the other two.
+    when one is the square-free part of the product of the other two,
+    read off the profile's sign and exponent vectors.
     Negative parts participate like any others (the profile flags them).
     """
     profile = discriminant_profile(seq)
-    discs = sorted(profile.discs)
-    if not discs:
+    if not profile.discs:
         return False  # every parameter is rational
-    if len(discs) > 3:
+    if len(profile.discs) > 3:
         return False
-    if len(discs) == 3:
-        return any(
-            discs[k] == squarefree_part(discs[i] * discs[j])
-            for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
-        )
+    if len(profile.discs) == 3:
+        # Δ₃ is the square-free part of Δ₁Δ₂ iff the sign and exponent
+        # vectors add to Δ₃'s over GF(2); the relation is symmetric
+        a, b, c = _solver_vectors(profile).values()
+        return tuple(map(xor, a, b)) == c
     return True
 
 
@@ -442,5 +463,5 @@ def class_d_quadratic_check(seq: HypergeomSeq) -> bool:
     no pairing of parameters can then generate equal number fields with
     equal discriminant classes.
     """
-    return sorted(_factor_tags(seq.f_factors)) != \
-        sorted(_factor_tags(seq.g_factors))
+    f_tags, g_tags, _ = _square_classes(seq)
+    return f_tags != g_tags

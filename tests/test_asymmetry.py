@@ -21,6 +21,7 @@ from hyperval.asymmetry import (
 )
 from hyperval import _fp
 from hyperval.errors import (
+    BadPrime,
     InvalidF,
     NotHenselPrime,
     UnsupportedFactorization,
@@ -112,6 +113,13 @@ class TestMakeCertificate:
     def test_untrusted_prime_propagates(self, sq_pair):
         with pytest.raises(NotHenselPrime):
             make_certificate(sq_pair, 2)
+
+    def test_only_proved_primes(self, factorial):
+        # is_prime is a proof below 2^64; 2^89 - 1 is prime, but past
+        # that bound it would only be probably prime
+        assert make_certificate(factorial, 2**64 - 59).p == 2**64 - 59
+        with pytest.raises(BadPrime, match="^certificates need a proved "):
+            make_certificate(factorial, 2**89 - 1)
 
     def test_messages_never_print_the_value(self):
         # 3^10000 has 4772 digits, past Python's int-to-str limit
@@ -344,7 +352,7 @@ class TestRootPlan:
         f = (X * X + X + RatPoly([2])) * (X ** 3 - X - ONE) ** 2
         seq = make_sequence(f, X * X + X + ONE, Fraction(1))
         assert usable_prime(seq, 2)
-        assert sorted((part.degree, e) for part, e, _
+        assert sorted((len(part) - 1, e) for part, e, _
                       in seq.root_plan().f_parts) == [(2, 1), (3, 2)]
         self._check(seq)
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: grammar, subcommands, exit codes."""
 
+import ast
 import contextlib
 import io
 import math
@@ -13,11 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperval
+from hyperval import numtheory, quadratic
 from hyperval.cli import main
 from hyperval.errors import PolyParseError
 from hyperval.hyperseq import make_sequence, term
 from hyperval.numtheory import sieve_primes
-from hyperval.padic import DEFAULT_DIGIT_CAP, hensel_lift, zero_run_length
+from hyperval.padic import (
+    DEFAULT_DIGIT_CAP,
+    PadicRoot,
+    hensel_lift,
+    zero_run_length,
+)
 from hyperval.polyq import (
     ECHO_CAP,
     MAX_EXPONENT,
@@ -309,6 +316,19 @@ class TestAsymmetry:
         assert code == 0
         assert "result=empty" in out
 
+    def test_window_past_the_prime_walk_bound_is_a_domain_error(
+            self, monkeypatch):
+        # its base primes would run to 2^44.5; nothing is sieved
+        def refuse(limit):
+            raise AssertionError(f"sieve_primes({limit}) called")
+
+        monkeypatch.setattr(numtheory, "sieve_primes", refuse)
+        code, out, err = run("asymmetry", "--f", "x^2-2", "--g", "x^2-3",
+                             "--u0", "1", "--pmin", str(2**89 - 1),
+                             "--pmax", str(2**89 + 200))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: type=UnsupportedInput message=")
+
 
 class TestClassify:
     def test_quadratic_pair(self):
@@ -321,6 +341,28 @@ class TestClassify:
             "class_d = true",
             "condition_prime[delta=2] = 7",
             "condition_prime[delta=3] = 11"]
+
+    def test_each_discriminant_factored_once(self, monkeypatch):
+        # the profile, class C and class D share one factorization per
+        # distinct discriminant: 4N for x^2 - N, and 8 for x^2 - 2
+        N = 1000000007 * 1000000009
+        calls = []
+        factorize = numtheory.factorize
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(numtheory, "factorize", counted)
+        monkeypatch.setattr(quadratic, "factorize", counted)
+        code, out, _ = run("classify", "--f", f"x^2-{N}", "--g", "x^2-2",
+                           "--u0", "1")
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            f"discriminants={{2,{N}}} prime-support=[2,1000000007,1000000009]",
+            "class_c = true",
+            "class_d = true"]
+        assert sorted(calls) == [8, 4 * N]
 
 
 class TestMembership:
@@ -374,6 +416,15 @@ class TestMembership:
                              "--forced-prime", p)
         assert (code, out) == (1, "")
         assert err == f"error: type=BadPrime message={p} is not prime\n"
+
+    def test_forced_prime_past_2_to_the_64_is_refused(self):
+        # 2^89 - 1 is prime, but is_prime proves primality only below 2^64
+        code, out, err = run("membership", "--f", "x^2-2", "--g", "x^2-3",
+                             "--u0", "1", "--target", "7/5",
+                             "--forced-prime", str(2**89 - 1))
+        assert (code, out) == (1, "")
+        assert err == ("error: type=BadPrime message=certificates need a "
+                       "proved prime, below 2^64\n")
 
 
 class TestEquidist:
@@ -443,8 +494,7 @@ class TestPadic:
                            "--digits", str(DEFAULT_DIGIT_CAP))
         assert code == 0
         assert out.endswith(" 0" * (DEFAULT_DIGIT_CAP - 1) + "\n")
-        # refused before any root is lifted: hensel_lift takes its digits
-        # off one divmod at a time, so 80,000 digits take seconds
+        # refused before any root is lifted
         monkeypatch.setattr(hyperval.cli, "hensel_lift", None)
         code, out, err = run("padic", "--poly", "x^2-2", "--p", "7",
                              "--digits", str(DEFAULT_DIGIT_CAP + 1))
@@ -458,6 +508,22 @@ class TestPadic:
         root = hensel_lift(parse_poly("x^2-2"), 7, 3, 8)
         want = zero_run_length(root, 1)
         assert f"root 3: zero run at index 1 has length {want}" in out
+
+    def test_digits_come_from_one_expansion(self, monkeypatch):
+        # a digit(i) read per index costs a division of the whole value
+        # each: 16,384 of them took about 29 s
+        def refuse(self, j):
+            raise AssertionError("digit read one at a time")
+
+        monkeypatch.setattr(PadicRoot, "digit", refuse)
+        code, out, _ = run("padic", "--poly", "x^2-2", "--p", "7",
+                           "--digits", "8", "--zero-run", "3")
+        assert code == 0
+        assert out.splitlines() == [
+            "root 3: digits (least significant first) 3 1 2 6 1 2 1 2",
+            "root 3: zero run at index 3 has length 0",
+            "root 4: digits (least significant first) 4 5 4 0 5 4 5 4",
+            "root 4: zero run at index 3 has length 1"]
 
 
 class TestExitCodes:
@@ -531,6 +597,35 @@ class TestDeterminism:
         assert first[0] == 0
         assert first[1].startswith(f"# hyperval {fmt} 2\n")
         assert first[1] == second[1]
+
+
+def test_the_sequence_model_leaves_the_padic_layer_unloaded():
+    # padic imports hyperseq, never the reverse; the package __init__
+    # imports every module, so hyperseq is loaded under a bare package
+    src = os.path.dirname(os.path.dirname(hyperval.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, types; pkg = types.ModuleType('hyperval'); "
+         f"pkg.__path__ = [{os.path.join(src, 'hyperval')!r}]; "
+         "sys.modules['hyperval'] = pkg; import hyperval.hyperseq; "
+         "assert 'hyperval.padic' not in sys.modules, 'padic was imported'"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_import_inside_a_function():
+    # every import in the package sits at the top of its module
+    pkg = os.path.dirname(hyperval.__file__)
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert not any(
+                    isinstance(inner, (ast.Import, ast.ImportFrom))
+                    for inner in ast.walk(node)), (name, node.name)
 
 
 def test_spec_parsing_leaves_the_cli_unloaded():

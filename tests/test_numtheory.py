@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hyperval import numtheory
-from hyperval.errors import BadPrime, NonResidue
+from hyperval.errors import BadPrime, NonResidue, UnsupportedInput
 from hyperval.numtheory import (
     INFINITY,
     factorize,
@@ -16,7 +16,6 @@ from hyperval.numtheory import (
     legendre,
     mod_rep,
     padic_valuation,
-    primes_in_progression,
     reduced_fraction,
     sieve_primes,
     sqrt_mod,
@@ -282,11 +281,39 @@ class TestPrimes:
         monkeypatch.setattr(numtheory, "sieve_primes", bounded)
         assert next(p for p in iter_primes(2, 10**12) if p > 10**4) == 10007
 
-    def test_progression(self):
-        got = primes_in_progression(1, 4, 100)
-        assert got == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
+    def test_walker_segments_are_capped(self, monkeypatch):
+        # with 100-number segments, the walk over [10^4, 2·10^4] sieves
+        # 101 segments and still yields exactly the primes there
+        monkeypatch.setattr(numtheory, "_SEGMENT", 100)
+        limits = []
+        sieve = numtheory.sieve_primes
 
-    def test_progression_non_coprime_has_at_most_one_member(self):
-        assert primes_in_progression(2, 4, 100) == [2]
-        assert primes_in_progression(3, 9, 100) == [3]
-        assert primes_in_progression(0, 9, 100) == []
+        def counted(limit):
+            limits.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(numtheory, "sieve_primes", counted)
+        got = list(iter_primes(10**4, 2 * 10**4))
+        assert got == [p for p in sieve(2 * 10**4) if p >= 10**4]
+        assert len(limits) == 101 and max(limits) <= 141
+
+    def test_walker_refuses_where_base_primes_pass_the_bound(self,
+                                                             monkeypatch):
+        # with base primes capped at 10, the segments [2, 66) are
+        # walked and the next one, [66, 132), needs the base prime 11
+        monkeypatch.setattr(numtheory, "_MAX_BASE_PRIME", 10)
+        got = []
+        with pytest.raises(UnsupportedInput, match="^the prime walk stops"):
+            for p in iter_primes(2, 1000):
+                got.append(p)
+        assert got == sieve_primes(65)
+
+    def test_walker_refuses_a_window_near_2_to_the_89(self, monkeypatch):
+        # nothing is sieved: the refusal comes before any allocation
+        def refuse(limit):
+            raise AssertionError(f"sieve_primes({limit}) called")
+
+        monkeypatch.setattr(numtheory, "sieve_primes", refuse)
+        walk = iter_primes(2**89 - 1, 2**89 + 200)
+        with pytest.raises(UnsupportedInput):
+            next(walk)

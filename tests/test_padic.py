@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperval import _fp, padic
+from hyperval import _fp, numtheory, padic
 from hyperval.errors import (
     BadPrime,
     NotHenselPrime,
@@ -282,6 +282,39 @@ class TestLiftTo:
                     assert steps.lift_to(9) == hensel_lift(sqfree, p, a, 9)
 
 
+def oracle_zero_run_length(root, s):
+    """zero_run_length as a scan of the digit tuple, lifting by doubling
+    while the scan runs past the precision: the loop that reading
+    ν_p(value // p^s) replaced."""
+    if s < 0:
+        raise ValueError("digit index must be nonnegative")
+    run = 0
+    j = s
+    digits = root.digits
+    while True:
+        if j >= root.precision:
+            if root.precision >= DEFAULT_DIGIT_CAP:
+                raise PrecisionExhausted(
+                    f"zero run at index {s} still open at the "
+                    f"{DEFAULT_DIGIT_CAP}-digit lifting cap"
+                )
+            root = root.lift_to(min(max(2 * root.precision, j + 1),
+                                    DEFAULT_DIGIT_CAP))
+            digits = root.digits
+            continue
+        if digits[j] != 0:
+            return run
+        run += 1
+        j += 1
+
+
+def _run_outcome(fn, root, s):
+    try:
+        return fn(root, s)
+    except PrecisionExhausted as exc:
+        return str(exc)
+
+
 class TestZeroRun:
     def test_runs_in_small_integers(self):
         # 5 = 2 + 1*3: digits (2, 1, 0, 0, ...)
@@ -300,6 +333,51 @@ class TestZeroRun:
         five = hensel_lift(X - RatPoly([5]), 3, 2, 4)
         with pytest.raises(ValueError):
             zero_run_length(five, -1)
+        with pytest.raises(ValueError):
+            five.digit(-1)
+
+    def test_matches_the_digit_scan_on_the_truncation_inputs(self):
+        # the TestTruncationCount quadratics at every start index up to 6
+        checked = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            for b, j, k in itertools.product(range(1, 5), range(5), (1, -2)):
+                poly = RatPoly([k * p**j, b, 1])
+                if not is_hensel_prime(poly, p):
+                    continue
+                for a in roots_mod_p(poly, p):
+                    root = hensel_lift(poly, p, a, 4)
+                    for s in range(7):
+                        assert _run_outcome(zero_run_length, root, s) == \
+                            _run_outcome(oracle_zero_run_length, root, s), \
+                            (poly, p, a, s)
+                        checked += 1
+        assert checked > 2000
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_matches_the_digit_scan_on_the_lift_inputs(self, name, request):
+        # the TestLiftTo roots at precisions 1 to 9; the integer roots 0
+        # (factorial) and 3 (eventually_zero) have runs that never end
+        # and hit the cap
+        seq = request.getfixturevalue(name)
+        capped = 0
+        for poly in (seq.f, seq.g):
+            if poly.degree < 1:
+                continue
+            sqfree = (poly // poly_gcd(poly, poly.derivative())).monic()
+            for p in (3, 5, 7, 11):
+                if not is_hensel_prime(sqfree, p):
+                    continue
+                for a in roots_mod_p(sqfree, p):
+                    for k in (1, 2, 5, 9):
+                        root = hensel_lift(sqfree, p, a, k)
+                        for s in (0, 1, 3, 8, 12):
+                            got = _run_outcome(zero_run_length, root, s)
+                            assert got == _run_outcome(
+                                oracle_zero_run_length, root, s), \
+                                (sqfree, p, a, k, s)
+                            capped += isinstance(got, str)
+        if name in ("factorial", "eventually_zero"):
+            assert capped > 0
 
 
 _GRID_EXTRA = {  # (f, g, u0)
@@ -468,9 +546,31 @@ class TestValuationAtPrimePower:
         def no_lift(*args):
             raise AssertionError("lifted a root of an eventually-zero sequence")
 
-        monkeypatch.setattr(padic, "hensel_lift", no_lift)
+        monkeypatch.setattr(padic, "_newton_root", no_lift)
         with pytest.raises(ValueError, match="^g has a positive integer root"):
             valuation_at_prime_power(seq, 5, 3)
+
+    def test_lifts_the_plan_parts_directly(self, monkeypatch, sym_pair):
+        # the gate has proved p prime, the parts square-free mod p and
+        # every root simple: the public wrappers that re-check all three
+        # are not called, and p is tested for primality twice
+        # (usable_prime, term_valuation)
+        def refuse(*args):
+            raise AssertionError("public wrapper called")
+
+        monkeypatch.setattr(padic, "roots_mod_p", refuse)
+        monkeypatch.setattr(padic, "hensel_lift", refuse)
+        seq = make_sequence((X * X - RatPoly([2])) * (X + RatPoly([5])),
+                            (X * X - RatPoly([7])) * (X + RatPoly([9])), 1)
+        for s in (1, 2):
+            assert valuation_at_prime_power(seq, 31, s) == (0, 0)
+        assert valuation_at_prime_power(sym_pair, 13, 2) == (0, 0)
+        calls = []
+        is_prime = numtheory.is_prime
+        monkeypatch.setattr(numtheory, "is_prime",
+                            lambda n: calls.append(n) or is_prime(n))
+        valuation_at_prime_power(seq, 31, 2)
+        assert calls == [31, 31]
 
     def test_include_initial_value(self):
         third_u0 = make_sequence(X + ONE, X + RatPoly([80]), Fraction(1, 3))

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from hyperval.errors import EmptySampleSet, UnsupportedFactorization
 from hyperval.hyperseq import make_sequence
-from hyperval.numtheory import factorize, legendre, sieve_primes
+from hyperval.numtheory import (
+    factorize,
+    legendre,
+    sieve_primes,
+    squarefree_part,
+)
 from hyperval.polyq import RatPoly
 from hyperval.quadratic import (
     DiscriminantProfile,
@@ -445,6 +450,16 @@ class TestClassCCheck:
 
     def test_four_fields_rejected(self):
         assert not class_c_check(seq_with_discs([2, 3], [5, 7]))
+
+    def test_triples_match_the_square_free_product(self):
+        # the XOR of sign and exponent vectors against the square-free
+        # part of each pairwise product, on every triple of these parts
+        parts = (-15, -6, -3, -2, -1, 2, 3, 5, 6, 10, 15, 30)
+        for d1, d2, d3 in itertools.combinations(parts, 3):
+            want = any(c == squarefree_part(a * b) for a, b, c in
+                       ((d1, d2, d3), (d1, d3, d2), (d2, d3, d1)))
+            assert class_c_check(seq_with_discs([d1], [d2, d3])) == want, \
+                (d1, d2, d3)
 
     def test_unsplittable_factor_rejected(self, sym_pair):
         with pytest.raises(UnsupportedFactorization):
