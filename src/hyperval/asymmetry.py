@@ -229,6 +229,15 @@ class Envelope:
     ⌊n/p^j⌋ or ⌈n/p^j⌉ for every j ≥ 1 (roots lift uniquely past the
     collision gate), and no layer beyond ⌊log_p(B·n^d)⌋ is populated,
     so each root contributes n/(p−1) ± (⌊log_p(B·n^d)⌋ + 2).
+
+    The level j = ⌊log_p(B·m^d)⌋ is constant on the run [m_j, m_{j+1}),
+    m_j the least m with B·m^d ≥ p^j, and L rises along a run; so on run
+    j, L(m) ≤ τ holds exactly for m ≤ ⌊(τ + |ν_p(u₀)| + c·(j+2))/A⌋.
+    The real run lengths x_j·(p^{1/d} − 1), x_j = (p^j/B)^{1/d}, grow
+    with j, and an integer run longer than c/A + 2 is a real one longer
+    than c/A + 1: past a run that holds no such m, the slack
+    (τ + |ν_p(u₀)| + c·(j+2))/A − x_j, below 1 there, falls by more than
+    1 a level, so no later run holds one either.
     """
 
     p: int
@@ -255,46 +264,38 @@ class Envelope:
                 - self.u0_valuation_abs)
 
     def bound_index(self, tau: int, max_n: Optional[int] = None) -> int:
-        """Smallest n₀ with L(m) > tau guaranteed for every m ≥ n₀.
+        """The least n₀ with L(m) > tau for every m ≥ n₀, in integers.
 
-        Works on the increasing minorant S(m) = A·m − c·(log_p B +
-        d·log_p m + 2) − |ν₀| ≤ L(m), asking S(m) ≥ tau + 1 beyond S's
-        stationary point, so the answer survives the local dips of L at
-        powers of p.  Raises UnsupportedInput when the answer would
-        exceed max_n.
+        Walks the runs of constant level from m = 1 (see the class
+        docstring) and stops at the first run that holds no m with
+        L(m) ≤ tau and is longer than c/A + 2.  Raises UnsupportedInput
+        as soon as n₀ exceeds max_n, and ValueError unless A > 0 and
+        B ≥ 1 (else L has no cut-off, or its runs never end).
         """
-        lp = math.log(self.p)
-        a = float(self.A)
-        base = self.c * (math.log(max(self.B, 1)) / lp + 2.0) + \
-            self.u0_valuation_abs
-        # S is increasing for m >= c*d/(A ln p)
-        m_incr = max(1, math.ceil(self.c * self.d / (a * lp)) + 1)
-
-        def surrogate_ok(m: int) -> bool:
-            s = a * m - (base + self.c * self.d * math.log(m) / lp)
-            return s >= tau + 1.0
-
-        hi = m_incr
-        while not surrogate_ok(hi):
-            hi *= 2
-            if max_n is not None and hi > 4 * max_n:
+        if self.A <= 0 or self.B < 1:
+            raise ValueError("the walk needs A > 0 and B >= 1")
+        num, den = self.A.numerator, self.A.denominator
+        n0 = m = 1
+        j = self.log_cap(1)
+        while True:
+            if max_n is not None and n0 > max_n:
                 raise UnsupportedInput(
-                    f"certified bound index exceeds the cap {max_n}"
-                )
-        lo = max(m_incr - 1, hi // 2)
-        while hi - lo > 1:  # invariant: ok(hi), not ok(lo) (or lo < m_incr)
-            mid = (lo + hi) // 2
-            if mid >= m_incr and surrogate_ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        if max_n is not None and hi > max_n:
-            raise UnsupportedInput(
-                f"certified bound index {hi} exceeds the cap {max_n}"
-            )
-        if self(hi) <= tau:
-            raise AssertionError("envelope surrogate failed its safety check")
-        return hi
+                    f"certified bound index exceeds the cap {max_n}")
+            # the least m' with B·m'^d ≥ p^(j+1), by bisection on [0, hi]
+            target = self.p ** (j + 1)
+            lo, hi = 0, 1 << -(-target.bit_length() // self.d)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if self.B * mid**self.d >= target:
+                    hi = mid
+                else:
+                    lo = mid
+            last = (tau + self.u0_valuation_abs + self.c * (j + 2)) * den // num
+            if last >= m:
+                n0 = min(last, hi - 1) + 1
+            elif (hi - m) * num > self.c * den + 2 * num:
+                return n0
+            m, j = hi, self.log_cap(hi)
 
 
 def certified_envelope(cert: AsymmetryCertificate,

@@ -40,7 +40,9 @@ from .quadratic import (
     find_condition_prime,
 )
 
-FORMAT_VERSION = 2
+# 3: `height --format structured-text` writes `height: n=… h=…` records,
+# not the CSV rows; the cut-off n0 of `membership` is the least valid one
+FORMAT_VERSION = 3
 
 
 # -- output plumbing ----------------------------------------------------
@@ -153,8 +155,11 @@ def _cmd_height(args) -> int:
         lines.append(f"growth constant (min h/n, top half): "
                      f"{profile.growth_constant:.6f}")
         _emit("human", lines)
+    elif args.format == "csv":
+        _emit("csv", ["n,height", *profile.csv_rows()])
     else:
-        _emit(args.format, ["n,height", *profile.csv_rows()])
+        _emit("structured-text",
+              [f"height: n={n} h={h:.12g}" for n, _, h in profile.rows])
     return 0
 
 

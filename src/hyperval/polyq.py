@@ -4,7 +4,7 @@
 coefficients (index = degree; the zero polynomial has no coefficients and
 degree -1).  On top of it this module provides gcd, square-free
 decomposition, a factoring pipeline certified complete whenever every
-irreducible factor has degree at most 2, quadratic discriminants,
+irreducible factor has degree at most 2, fraction-free discriminants,
 integer-shift detection, factored rational functions, and the
 expression grammar that ``str(RatPoly)`` writes (:func:`parse_poly`,
 :func:`parse_rational`).
@@ -710,14 +710,6 @@ def _lift_quadratic(H: list[int], u: list[int], p: int,
 
 
 # -- derived queries ----------------------------------------------------
-
-
-def discriminant_quadratic(p: RatPoly) -> Fraction:
-    """b^2 - 4ac for a quadratic ax^2 + bx + c."""
-    if p.degree != 2:
-        raise ValueError(f"discriminant_quadratic needs degree 2, got {p.degree}")
-    a, b, c = p.coeff(2), p.coeff(1), p.coeff(0)
-    return b * b - 4 * a * c
 
 
 def int_discriminant(c: list[int]) -> int:

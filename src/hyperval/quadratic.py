@@ -35,7 +35,6 @@ from .numtheory import (
     squarefree_part,
     tonelli_shanks,
 )
-from .polyq import discriminant_quadratic
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def _square_classes(seq: HypergeomSeq) -> tuple[
     cannot certify, raises.
     """
     if seq._square_classes is None:
-        # num·den of a discriminant -> (Δ, primes of Δ)
+        # D = c₁² − 4c₀c₂ of the integer form -> (Δ, primes of Δ)
         classes: dict[int, tuple[int, tuple[int, ...]]] = {}
         sides = []
         for table in (seq.f_factors, seq.g_factors):
@@ -93,8 +92,8 @@ def _square_classes(seq: HypergeomSeq) -> tuple[
                     )
                 tag = 1
                 if pf.poly.degree == 2:
-                    d = discriminant_quadratic(pf.poly)
-                    n = d.numerator * d.denominator
+                    c = pf.poly.to_integer()[0]
+                    n = c[1] ** 2 - 4 * c[0] * c[2]
                     if n not in classes:
                         odd = tuple(sorted(q for q, e in factorize(n).items()
                                            if e % 2))

@@ -1,5 +1,6 @@
 """Tests for asymmetric primes, certificates, and the valuation envelope."""
 
+import inspect
 import math
 import random
 from collections import Counter
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from hyperval.asymmetry import (
     AsymmetryCertificate,
+    Envelope,
     SlopeFit,
     certified_envelope,
     find_asymmetric_prime,
@@ -406,8 +408,8 @@ class TestEnvelope:
     def test_bound_index_frozen(self, factorial, sq_pair):
         env_f = certified_envelope(make_certificate(factorial, 2), factorial)
         env_s = certified_envelope(make_certificate(sq_pair, 7), sq_pair)
-        assert [env_f.bound_index(t) for t in (0, 3, 7)] == [6, 10, 14]
-        assert [env_s.bound_index(t) for t in (0, 3, 7)] == [43, 53, 67]
+        assert [env_f.bound_index(t) for t in (0, 3, 7)] == [5, 9, 13]
+        assert [env_s.bound_index(t) for t in (0, 3, 7)] == [37, 46, 58]
 
     def test_bound_index_covers_every_small_valuation(self, sq_pair):
         # Past n0 the certified bound exceeds tau, so indices with
@@ -424,6 +426,35 @@ class TestEnvelope:
         env = certified_envelope(make_certificate(sq_pair, 7), sq_pair)
         with pytest.raises(UnsupportedInput):
             env.bound_index(0, max_n=2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bound_index_is_the_least_cut_off(self, seed):
+        # the walk against a scan of L to 20·n0 on random envelopes; p = 2
+        # with d >= 3 has the slowest-growing runs
+        rng = random.Random(seed)
+        for _ in range(60):
+            env = _random_envelope(rng)
+            tau = rng.choice([0, 1, 5, rng.randint(0, 50), 50])
+            n0 = env.bound_index(tau)
+            assert n0 == _brute_bound_index(env, tau, 20 * n0), (env, tau)
+            if n0 > 1:
+                assert env(n0 - 1) <= tau
+            assert env(n0) > tau
+            assert n0 <= oracle_surrogate_bound_index(env, tau)
+            assert env.bound_index(tau, max_n=n0) == n0
+            with pytest.raises(UnsupportedInput):
+                env.bound_index(tau, max_n=n0 - 1)
+
+    @pytest.mark.parametrize("A, B", [(Fraction(0), 1), (Fraction(-1), 1),
+                                      (Fraction(1), 0)])
+    def test_bound_index_rejects_a_walk_without_end(self, A, B):
+        env = Envelope(p=2, A=A, c=1, B=B, d=1, u0_valuation_abs=0)
+        with pytest.raises(ValueError):
+            env.bound_index(0)
+
+    def test_no_float_in_the_envelope(self):
+        source = inspect.getsource(Envelope)
+        assert "math." not in source and "float" not in source
 
     def test_rejects_index_zero(self, factorial):
         env = certified_envelope(make_certificate(factorial, 2), factorial)
@@ -452,6 +483,66 @@ class TestEnvelope:
                                       A=Fraction(1, 4), B=1, u0_valuation=0)
         with pytest.raises(ValueError, match="constant"):
             certified_envelope(tilted, geometric)
+
+
+def _random_envelope(rng):
+    p = rng.choice([2, 2, 3, 5, 7, 13, 97])
+    d = rng.randint(3, 8) if p == 2 else rng.randint(1, 8)
+    m_f, m_g = rng.sample(range(d + 1), 2)
+    return Envelope(p=p, A=Fraction(abs(m_g - m_f), p - 1), c=m_f + m_g,
+                    B=rng.choice([1, rng.randint(1, 10**6), 10**6]), d=d,
+                    u0_valuation_abs=rng.randint(0, 5))
+
+
+def _brute_bound_index(env, tau, limit):
+    """1 + the last m <= limit with L(m) <= tau (1 if none), with the
+    level floor(log_p(B·m^d)) stepped up one m at a time."""
+    num, den = env.A.numerator, env.A.denominator
+    j, pw, last = 0, env.p, 0
+    for m in range(1, limit + 1):
+        t = env.B * m**env.d
+        while pw <= t:
+            j += 1
+            pw *= env.p
+        if num * m <= den * (tau + env.u0_valuation_abs + env.c * (j + 2)):
+            last = m
+    return last + 1
+
+
+def oracle_surrogate_bound_index(env, tau, max_n=None):
+    """The float surrogate search that preceded the exact walk: an n0
+    with S(m) >= tau + 1 for the increasing minorant S(m) = A·m −
+    c·(log_p B + d·log_p m + 2) − |v0| past S's stationary point, then
+    an exact check of L(n0) > tau alone."""
+    lp = math.log(env.p)
+    a = float(env.A)
+    base = env.c * (math.log(max(env.B, 1)) / lp + 2.0) + \
+        env.u0_valuation_abs
+    m_incr = max(1, math.ceil(env.c * env.d / (a * lp)) + 1)
+
+    def surrogate_ok(m):
+        s = a * m - (base + env.c * env.d * math.log(m) / lp)
+        return s >= tau + 1.0
+
+    hi = m_incr
+    while not surrogate_ok(hi):
+        hi *= 2
+        if max_n is not None and hi > 4 * max_n:
+            raise UnsupportedInput(
+                f"certified bound index exceeds the cap {max_n}")
+    lo = max(m_incr - 1, hi // 2)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid >= m_incr and surrogate_ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    if max_n is not None and hi > max_n:
+        raise UnsupportedInput(
+            f"certified bound index {hi} exceeds the cap {max_n}")
+    if env(hi) <= tau:
+        raise AssertionError("envelope surrogate failed its safety check")
+    return hi
 
 
 class TestSlopeFit:

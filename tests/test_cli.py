@@ -165,7 +165,7 @@ class TestValidate:
                            "--f", "1", "--g", "x", "--u0", "1")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "# hyperval csv 2"
+        assert lines[0] == "# hyperval csv 3"
         assert lines[1].startswith("f,g,u0,")
         assert lines[2] == "1,x,1,false,none,false,false"
 
@@ -207,13 +207,13 @@ class TestTerms:
         code, out, _ = run("--format", "csv", "terms", "--f", "x+2",
                            "--g", "x+1", "--u0", "1", "--n", "2")
         assert out.splitlines() == [
-            "# hyperval csv 2", "n,u_n", "0,1", "1,2/3", "2,1/2"]
+            "# hyperval csv 3", "n,u_n", "0,1", "1,2/3", "2,1/2"]
 
     def test_structured(self):
         code, out, _ = run("--format", "structured-text", "terms",
                            "--f", "x+2", "--g", "x+1", "--u0", "1", "--n", "2")
         assert out.splitlines() == [
-            "# hyperval structured-text 2",
+            "# hyperval structured-text 3",
             "term: n=0 u=1", "term: n=1 u=2/3", "term: n=2 u=1/2"]
 
     @pytest.mark.parametrize("fmt", ["human", "csv", "structured-text"])
@@ -240,8 +240,17 @@ class TestHeightAndValuation:
         code, out, _ = run("--format", "csv", "height", "--f", "1",
                            "--g", "2", "--u0", "1", "--nmax", "2")
         assert out.splitlines() == [
-            "# hyperval csv 2", "n,height",
+            "# hyperval csv 3", "n,height",
             "0,0", "1,0.69314718056", "2,1.38629436112"]
+
+    def test_height_structured(self):
+        code, out, _ = run("--format", "structured-text", "height",
+                           "--f", "1", "--g", "2", "--u0", "1",
+                           "--nmax", "4", "--stride", "2")
+        assert code == 0
+        assert out.splitlines() == [
+            "# hyperval structured-text 3", "height: n=0 h=0",
+            "height: n=2 h=1.38629436112", "height: n=4 h=2.77258872224"]
 
     def test_height_human_growth_line(self):
         code, out, _ = run("height", "--f", "1", "--g", "2",
@@ -374,7 +383,7 @@ class TestMembership:
         assert lines[0] == "outcome: yes"
         assert lines[1] == "witness: n = 5"
         assert lines[2].startswith("certificate: asymmetry-certificate: p=7")
-        assert lines[3] == "cutoff n0 = 29"
+        assert lines[3] == "cutoff n0 = 19"
         assert lines[4] == "terms checked: 6"
         assert len(lines) == 5
 
@@ -382,18 +391,18 @@ class TestMembership:
         code, out, _ = run("--format", "csv", "membership", "--f", "1",
                            "--g", "x", "--u0", "1", "--target", "120")
         lines = out.splitlines()
-        assert lines[0] == "# hyperval csv 2"
+        assert lines[0] == "# hyperval csv 3"
         assert lines[1] == (
             "outcome,witness,n0,terms_checked,cert_p,cert_slope,reason")
         cols = lines[2].split(",")
-        assert cols == ["yes", "5", "29", "6", "7", "1/6", ""]
+        assert cols == ["yes", "5", "19", "6", "7", "1/6", ""]
 
     def test_structured(self):
         code, out, _ = run("--format", "structured-text", "membership",
                            "--f", "1", "--g", "x", "--u0", "1",
                            "--target", "120")
         assert out.splitlines()[1].startswith(
-            "membership: outcome=yes witness=5 n0=29 terms_checked=6")
+            "membership: outcome=yes witness=5 n0=19 terms_checked=6")
 
     def test_unsupported_is_not_an_error(self):
         code, out, _ = run("membership", "--f", "x+2", "--g", "x+1",
@@ -432,7 +441,7 @@ class TestEquidist:
         code, out, _ = run("--format", "csv", "equidist", "--delta", "2",
                            "--plimit", "3000", "--bins", "4")
         assert out.splitlines() == [
-            "# hyperval csv 2",
+            "# hyperval csv 3",
             "0.000000,0.250000,0.25238095",
             "0.250000,0.500000,0.24761905",
             "0.500000,0.750000,0.24761905",
@@ -580,7 +589,7 @@ EVERY_SUBCOMMAND = {
                    "--u0", "1"],
     "asymmetry": ["asymmetry", *SQ, "--pmax", "100"],
     "classify": ["classify", *SQ, "--pmax", "1000"],
-    # a scan to n0 = 14216 takes long enough for a clock to show
+    # a scan to n0 = 11185 takes long enough for a clock to show
     "membership": ["membership", *SQ, "--target", "7/5",
                    "--forced-prime", "2797"],
     "equidist": ["equidist", "--delta", "2", "--plimit", "2000"],
@@ -595,7 +604,7 @@ class TestDeterminism:
         argv = ["--format", fmt, *EVERY_SUBCOMMAND[name]]
         first, second = run(*argv), run(*argv)
         assert first[0] == 0
-        assert first[1].startswith(f"# hyperval {fmt} 2\n")
+        assert first[1].startswith(f"# hyperval {fmt} 3\n")
         assert first[1] == second[1]
 
 

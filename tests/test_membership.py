@@ -98,7 +98,7 @@ class TestExactChecks:
     def test_no_exact_check_on_a_long_no_scan(self, sq_pair, monkeypatch):
         calls = _term_calls(monkeypatch)
         v = decide(sq_pair, Fraction(7, 5), MembershipConfig(forced_prime=2797))
-        assert (v.outcome, v.bound_n0, v.terms_checked) == ("no", 14216, 14216)
+        assert (v.outcome, v.bound_n0, v.terms_checked) == ("no", 11185, 11185)
         assert calls == []
 
 

@@ -18,7 +18,6 @@ from hyperval.polyq import (
     RatPoly,
     RationalFunction,
     X,
-    discriminant_quadratic,
     factor,
     int_discriminant,
     int_eval,
@@ -471,24 +470,6 @@ class TestQuadraticLiftDifferential:
 
         check()
         assert {3, 5, "split", "irreducible"} <= seen, seen
-
-
-class TestDiscriminant:
-    def test_hand_values(self):
-        assert discriminant_quadratic(X * X - RatPoly([2])) == 8
-        assert discriminant_quadratic(X * X + ONE) == -4
-        assert discriminant_quadratic(
-            X * X - RatPoly([0, 2]) - ONE) == 8  # x^2-2x-1
-
-    def test_matches_reference(self):
-        for coeffs in [(3, 1, 1), (2, -5, 1), (-1, 0, 2), (7, 2, -3)]:
-            p = RatPoly(list(coeffs))
-            want = sympy.discriminant(to_sympy(p).as_expr(), x)
-            assert discriminant_quadratic(p) == Fraction(str(want))
-
-    def test_requires_degree_two(self):
-        with pytest.raises(ValueError):
-            discriminant_quadratic(X)
 
 
 class TestIntDiscriminant:
